@@ -2,8 +2,9 @@
 
 Configuration is a flat JSON file (see config.TrainConfig); --set key=value
 overrides take precedence, and unknown keys are hard errors. M2I2_SEED in
-the environment overrides the config seed. A resolved-config snapshot is
-written beside every run's outputs.
+the environment overrides the config seed, and the subcommand sets the phase.
+Training writes the resolved config as config.json beside its outputs; eval
+and attn take their config from a finetune checkpoint.
 """
 
 from __future__ import annotations
@@ -37,17 +38,11 @@ def resolve_config(args) -> TrainConfig:
         base.update(PRESETS[args.preset])
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            file_cfg = json.loads(f.read())
-        unknown = set(file_cfg) - set(TrainConfig().to_dict())
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        base.update(file_cfg)
+            base.update(json.loads(f.read()))
     for kv in args.set or []:
         if "=" not in kv:
             raise ConfigError(f"override must be key=value, got {kv!r}")
         k, v = kv.split("=", 1)
-        if k not in base:
-            raise ConfigError(f"unknown config key {k!r}")
         base[k] = _parse_value(v)
     for flag, key in (
         ("no_mim", "enable_mim"),
@@ -59,8 +54,7 @@ def resolve_config(args) -> TrainConfig:
             base[key] = False
     if "M2I2_SEED" in os.environ:
         base["seed"] = int(os.environ["M2I2_SEED"])
-    if getattr(args, "phase", None):
-        base["phase"] = args.phase
+    base["phase"] = args.command
     return TrainConfig.from_dict(base)
 
 
@@ -97,15 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="checkpoint to resume from")
 
     p = sub.add_parser("eval", help="accuracy report on a VQA dataset")
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help="finetune checkpoint")
     p.add_argument("--filter", choices=("all", "free"), default="all")
 
     p = sub.add_parser("attn", help="export cross-attention heatmaps")
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help="finetune checkpoint")
     p.add_argument("--layer", type=int, default=-1)
     p.add_argument("--no-grad-weighting", action="store_true")
     p.add_argument("--limit", type=int, default=8)
@@ -133,19 +127,14 @@ def run(args) -> int:
         bad = [f for f in failures if not f[3]]
         return 1 if bad else 0
 
-    cfg = resolve_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "resolved_config.json"), "w", encoding="utf-8") as f:
-        f.write(cfg.to_json())
-
     if args.command == "pretrain":
-        cfg.phase = "pretrain"
+        cfg = resolve_config(args)
         path = pretrain(cfg, load_captions(args.data), args.data, args.out, resume_from=args.resume)
         print(f"checkpoint: {path}")
         return 0
 
     if args.command == "finetune":
-        cfg.phase = "finetune"
+        cfg = resolve_config(args)
         init = None if args.from_scratch else args.init
         path = finetune(
             cfg, load_vqa(args.data), args.data, args.out,
@@ -156,6 +145,11 @@ def run(args) -> int:
 
     ckpt = load_checkpoint(args.checkpoint)
     run_cfg = ckpt.config
+    if run_cfg.phase != "finetune":
+        raise ConfigError(
+            f"{args.command} needs a finetune checkpoint; {args.checkpoint} is from phase {run_cfg.phase!r}"
+        )
+    os.makedirs(args.out, exist_ok=True)
     mp, _, _ = restore_model(ckpt, run_cfg)
     vocab = ckpt.vocab
     samples = load_vqa(args.data)

@@ -64,7 +64,6 @@ class TrainConfig:
     patch_size: int = 16
     channels: int = 1
     proj_dim: int = 32
-    dropout: float = 0.0
     answer_cross_mode: str = "full"
 
     def validate(self) -> "TrainConfig":
@@ -82,6 +81,7 @@ class TrainConfig:
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
+            phase=self.phase,
             dim=self.dim,
             heads=self.heads,
             mlp_ratio=self.mlp_ratio,
@@ -97,7 +97,6 @@ class TrainConfig:
             patch_size=self.patch_size,
             channels=self.channels,
             proj_dim=self.proj_dim,
-            dropout=self.dropout,
             answer_cross_mode=self.answer_cross_mode,
         )
 

@@ -7,6 +7,8 @@ full sub-network depth) 1e-3.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .config import TrainConfig
@@ -40,7 +42,9 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max(initial=0.0) / denom)
 
 
-def _check(build, x0: np.ndarray) -> float:
+def check_grad(build, x0: np.ndarray) -> float:
+    """Relative error of the tape gradient of build (Tensor -> scalar Tensor)
+    at x0 against central finite differences."""
     t = Tensor(x0.copy(), requires_grad=True)
     build(t).backward()
     num = fd_grad(lambda x: float(build(Tensor(x)).data), x0)
@@ -69,7 +73,7 @@ def op_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
         ("indexing", lambda t: (t[np.array([0, 2]), 1:] ** 2.0).sum(), r(3, 4)),
         ("concat", lambda t: (concat([t, t * 0.5], axis=1) * Tensor(np.concatenate([w34, w34], axis=1))).sum(), r(3, 4)),
     ]
-    return [(f"op/{name}", _check(build, x0), OP_TOL) for name, build, x0 in cases]
+    return [(f"op/{name}", check_grad(build, x0), OP_TOL) for name, build, x0 in cases]
 
 
 def _probe_param_errs(mp: ModelParams, loss_fn, names: list[str], rng: np.random.Generator, n_probe: int = 6) -> float:
@@ -115,7 +119,10 @@ def loss_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
             "batch_size": 2,
         }
     )
-    mp = ModelParams(cfg.model_config(), np.random.default_rng(0))
+    # the pretraining objectives run on a pretrain model, answer generation on
+    # a finetune one; both share their encoders and fusion bitwise
+    pre = ModelParams(cfg.model_config(), np.random.default_rng(0))
+    ft = ModelParams(replace(cfg.model_config(), phase="finetune"), np.random.default_rng(0))
     b = 2
     vis_pos = np.tile(np.array([0, 2]), (b, 1))
     msk_pos = np.tile(np.array([1, 3]), (b, 1))
@@ -134,42 +141,42 @@ def loss_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
     negs /= np.linalg.norm(negs, axis=-1, keepdims=True)
     enqueue(queue, negs, negs)
 
-    def img_feats():
+    def img_feats(mp):
         return encode_image(mp, patches, vis_pos)
 
-    def fused():
-        return fuse(mp, encode_text(mp, ids), img_feats(), ids)
+    def fused(mp):
+        return fuse(mp, encode_text(mp, ids), img_feats(mp), ids)
 
     def loss_mim():
-        return mim_loss(decode_image(mp, img_feats(), vis_pos, msk_pos), targets)
+        return mim_loss(decode_image(pre, img_feats(pre), vis_pos, msk_pos), targets)
 
     def loss_mlm():
-        return mlm_loss(mlm_logits(mp, fused(), mlm_b, mlm_p), mlm_lab)
+        return mlm_loss(mlm_logits(pre, fused(pre), mlm_b, mlm_p), mlm_lab)
 
     def loss_itm():
-        return itm_loss(itm_logits(mp, fused()[:, 0, :]), itm_lab)
+        return itm_loss(itm_logits(pre, fused(pre)[:, 0, :]), itm_lab)
 
     def loss_itc():
-        ip = project_itc(mp, img_feats()[:, 0, :], "img")
-        tp = project_itc(mp, encode_text(mp, ids)[:, 0, :], "txt")
-        ipm = project_itc(mp, encode_image(mp, patches, vis_pos, use_momentum=True)[:, 0, :], "img", use_momentum=True)
-        tpm = project_itc(mp, encode_text(mp, ids, use_momentum=True)[:, 0, :], "txt", use_momentum=True)
-        return itc_loss(ip, tp, ipm, tpm, queue, mp.params["itc.log_temp"].exp())
+        ip = project_itc(pre, img_feats(pre)[:, 0, :], "img")
+        tp = project_itc(pre, encode_text(pre, ids)[:, 0, :], "txt")
+        ipm = project_itc(pre, encode_image(pre, patches, vis_pos, use_momentum=True)[:, 0, :], "img", use_momentum=True)
+        tpm = project_itc(pre, encode_text(pre, ids, use_momentum=True)[:, 0, :], "txt", use_momentum=True)
+        return itc_loss(ip, tp, ipm, tpm, queue, pre.params["itc.log_temp"].exp())
 
     def loss_lm():
-        logits = decode_answer(mp, fused(), ids, ans_prefix)
+        logits = decode_answer(ft, fused(ft), ids, ans_prefix)
         flat = logits[np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])]
         return cond_lm_loss(flat, ans_tgt)
 
     suites = [
-        ("loss/mim", loss_mim, ["img_dec.0.attn.wq", "mim.w", "img_mask_tok", "patch_embed.w"]),
-        ("loss/mlm", loss_mlm, ["mlm.w", "fusion.0.xattn.wv", "txt_enc.0.mlp.w1", "tok_embed"]),
-        ("loss/itm", loss_itm, ["itm.w", "fusion.0.attn.wo", "img_enc.0.ln1.g"]),
-        ("loss/itc", loss_itc, ["itc_img.w", "itc_txt.w", "itc.log_temp", "txt_enc.0.attn.wq"]),
-        ("loss/cond_lm", loss_lm, ["ans_head.w", "ans_dec.0.xattn.wk", "ans_pos", "fusion.0.mlp.w2"]),
+        ("loss/mim", pre, loss_mim, ["img_dec.0.attn.wq", "mim.w", "img_mask_tok", "patch_embed.w"]),
+        ("loss/mlm", pre, loss_mlm, ["mlm.w", "fusion.0.xattn.wv", "txt_enc.0.mlp.w1", "tok_embed"]),
+        ("loss/itm", pre, loss_itm, ["itm.w", "fusion.0.attn.wo", "img_enc.0.ln1.g"]),
+        ("loss/itc", pre, loss_itc, ["itc_img.w", "itc_txt.w", "itc.log_temp", "txt_enc.0.attn.wq"]),
+        ("loss/cond_lm", ft, loss_lm, ["ans_head.w", "ans_dec.0.xattn.wk", "ans_pos", "fusion.0.mlp.w2"]),
     ]
     return [
-        (name, _probe_param_errs(mp, fn, names, rng), E2E_TOL) for name, fn, names in suites
+        (name, _probe_param_errs(mp, fn, names, rng), E2E_TOL) for name, mp, fn, names in suites
     ]
 
 

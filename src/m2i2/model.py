@@ -6,14 +6,18 @@ reconstruction decoder, and the causal answer decoder. Plus the projection /
 prediction heads and positional-embedding interpolation for resolution
 changes.
 
-All forward functions are batched ([b, ...]) and pure given (inputs, params);
-dropout defaults to 0 so repeated passes are bitwise identical.
+A model holds one phase's parameters. Both phases share the encoders and the
+fusion encoder; pretraining adds the image decoder, the ITC/ITM/MLM/MIM heads
+and a momentum copy, finetuning adds the answer decoder.
+
+All forward functions are batched ([b, ...]) and pure given (inputs, params),
+so repeated passes are bitwise identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +30,7 @@ NEG_BIAS = -1e9
 
 @dataclass
 class ModelConfig:
+    phase: str = "pretrain"  # pretrain | finetune: which tensors the model holds
     dim: int = 64
     heads: int = 4
     mlp_ratio: int = 4
@@ -41,10 +46,11 @@ class ModelConfig:
     patch_size: int = 16
     channels: int = 1
     proj_dim: int = 32
-    dropout: float = 0.0
     answer_cross_mode: str = "full"  # "full" sequence memory or "cls" only
 
     def __post_init__(self):
+        if self.phase not in PHASE_ONLY:
+            raise ContractError(f"unknown phase {self.phase!r}")
         if self.dim % self.heads:
             raise ContractError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.image_size % self.patch_size:
@@ -64,6 +70,12 @@ class ModelConfig:
     def patch_dim(self) -> int:
         return self.patch_size * self.patch_size * self.channels
 
+
+# tensors that only one phase holds; every other tensor is shared by both
+PHASE_ONLY = {
+    "pretrain": ("img_mask_tok", "img_dec_pos", "img_dec.", "itc", "itm.", "mlm.", "mim."),
+    "finetune": ("ans_pos", "ans_dec.", "ans_head."),
+}
 
 # names of the sub-networks that keep a momentum copy (plus their embeddings
 # and ITC heads); everything reachable by the momentum ITC forward pass
@@ -90,19 +102,25 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndar
 
 
 class ModelParams:
-    """Named parameter tensors plus a momentum copy of the unimodal subset."""
+    """Named parameter tensors of one phase; in pretraining, plus a momentum
+    copy of the unimodal subset."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
+        self._foreign = PHASE_ONLY["finetune" if cfg.phase == "pretrain" else "pretrain"]
         self._init(rng)
         self.momentum: dict[str, Tensor] = {
             name: Tensor(t.data.copy())
             for name, t in self.params.items()
-            if name.startswith(MOMENTUM_PREFIXES)
+            if cfg.phase == "pretrain" and name.startswith(MOMENTUM_PREFIXES)
         }
 
     def _add(self, name: str, data: np.ndarray) -> None:
+        # the other phase's tensors are drawn but not kept, so every kept
+        # tensor takes the same values from a given generator in either phase
+        if name.startswith(self._foreign):
+            return
         if name in self.params:
             raise ContractError(f"parameter {name} registered twice")
         self.params[name] = Tensor(data, requires_grad=True)
@@ -437,23 +455,3 @@ def interpolate_positional(pos: np.ndarray, old_grid: tuple[int, int], new_grid:
     body = pos[1:].reshape(r, c, pos.shape[1])
     out = resize_bilinear(body, r2, c2).reshape(r2 * c2, pos.shape[1])
     return np.concatenate([pos[0:1], out], axis=0)
-
-
-def resize_model(mp: ModelParams, new_image_size: int) -> ModelParams:
-    """Return params adapted to a new input resolution via positional
-    interpolation; all other tensors are shared by value (copied)."""
-    old = mp.cfg
-    new_cfg = replace(old, image_size=new_image_size)
-    rng = np.random.default_rng(0)
-    out = ModelParams(new_cfg, rng)
-    for name, t in mp.params.items():
-        if name in ("img_pos", "img_dec_pos"):
-            out.params[name].data = interpolate_positional(t.data, old.grid, new_cfg.grid)
-        else:
-            out.params[name].data = t.data.copy()
-    for name, t in mp.momentum.items():
-        if name == "img_pos":
-            out.momentum[name].data = interpolate_positional(t.data, old.grid, new_cfg.grid)
-        else:
-            out.momentum[name].data = t.data.copy()
-    return out

@@ -20,6 +20,7 @@ import numpy as np
 from .config import TrainConfig
 from .errors import CheckpointError, ConfigError, ContractError, NumericsError
 from .model import (
+    PHASE_ONLY,
     ModelParams,
     decode_answer,
     decode_image,
@@ -47,11 +48,8 @@ from .text import BOS, EOS, PAD, Vocab, build_vocab, encode_plain, extend_vocab,
 from .vision import Image, augment, load_image, mask_patches, patchify
 
 CKPT_MAGIC = b"M2I2"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 TEMP_MIN, TEMP_MAX = 0.01, 0.5
-# the image reconstruction branch is dropped for downstream tasks
-IMG_DECODER_PREFIXES = ("img_dec.", "img_dec_pos", "img_mask_tok", "mim.")
-ANSWER_DECODER_PREFIXES = ("ans_dec.", "ans_pos", "ans_head.")
 
 
 # ---- optimizer -----------------------------------------------------------
@@ -80,14 +78,11 @@ def adamw_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-    skip_prefixes: tuple[str, ...] = (),
 ) -> None:
     """Decoupled weight decay, then bias-corrected Adam, in place."""
     state.t += 1
     t = state.t
     for name, p in mp.params.items():
-        if name.startswith(skip_prefixes):
-            continue
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if np.isnan(g).any():
             raise NumericsError(f"NaN gradient on parameter {name}")
@@ -198,33 +193,39 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a malformed or truncated file raises CheckpointError."""
     with open(path, "rb") as f:
         if f.read(4) != CKPT_MAGIC:
             raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != CKPT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (mlen,) = struct.unpack("<Q", f.read(8))
-        meta = json.loads(f.read(mlen).decode("utf-8"))
-        (n,) = struct.unpack("<I", f.read(4))
-        arrays = dict(_read_array(f) for _ in range(n))
-    return Checkpoint(TrainConfig.from_dict(meta["config"]), meta, arrays)
+        try:
+            (version,) = struct.unpack("<I", f.read(4))
+            if version != CKPT_VERSION:
+                raise CheckpointError(f"unsupported checkpoint version {version}")
+            (mlen,) = struct.unpack("<Q", f.read(8))
+            meta = json.loads(f.read(mlen).decode("utf-8"))
+            (n,) = struct.unpack("<I", f.read(4))
+            arrays = dict(_read_array(f) for _ in range(n))
+            return Checkpoint(TrainConfig.from_dict(meta["config"]), meta, arrays)
+        except CheckpointError:
+            raise
+        # short reads fail in struct or numpy; bad bytes in UTF-8, JSON or the config
+        except (struct.error, ValueError, KeyError, TypeError) as e:
+            raise CheckpointError(f"{path} is truncated or malformed: {e}") from e
 
 
 def restore_model(ckpt: Checkpoint, cfg: TrainConfig) -> tuple[ModelParams, AdamState, FeatureQueue | None]:
     """Rebuild model/optimizer/queue state exactly as saved."""
     mp = ModelParams(cfg.model_config(), np.random.default_rng([cfg.seed, 0x11]))
     bad = []
-    for name, t in mp.params.items():
-        key = f"param/{name}"
-        if key not in ckpt.arrays or ckpt.arrays[key].shape != t.data.shape:
-            bad.append(name)
-        else:
-            t.data = ckpt.arrays[key].copy()
+    for kind, tensors in (("param", mp.params), ("mom", mp.momentum)):
+        for name, t in tensors.items():
+            key = f"{kind}/{name}"
+            if key not in ckpt.arrays or ckpt.arrays[key].shape != t.data.shape:
+                bad.append(key)
+            else:
+                t.data = ckpt.arrays[key].copy()
     if bad:
         raise CheckpointError(f"checkpoint incompatible with config; offending tensors: {bad}")
-    for name, t in mp.momentum.items():
-        t.data = ckpt.arrays[f"mom/{name}"].copy()
     adam = AdamState(t=ckpt.meta["adam_t"])
     for key, a in ckpt.arrays.items():
         if key.startswith("adam_m/"):
@@ -243,35 +244,30 @@ def restore_model(ckpt: Checkpoint, cfg: TrainConfig) -> tuple[ModelParams, Adam
 
 
 def init_from_pretrained(mp: ModelParams, ckpt: Checkpoint) -> None:
-    """Copy pretrained encoder/fusion weights; the answer decoder stays fresh.
+    """Copy the tensors a finetune model shares with a pretrain checkpoint
+    (encoders and fusion); the answer decoder stays fresh.
 
     Image positional embeddings are bilinearly interpolated when the
     finetuning resolution differs from the pretraining one.
     """
-    old_cfg = ckpt.config.model_config()
+    if ckpt.config.phase != "pretrain":
+        raise CheckpointError(f"expected a pretrain checkpoint, got a {ckpt.config.phase} one")
+    old_grid = ckpt.config.model_config().grid
     bad = []
     for name, t in mp.params.items():
-        if name.startswith(ANSWER_DECODER_PREFIXES):
+        if name.startswith(PHASE_ONLY["finetune"]):
             continue
-        key = f"param/{name}"
-        if key not in ckpt.arrays:
+        src = ckpt.arrays.get(f"param/{name}")
+        if src is None:
             bad.append(name)
-            continue
-        src = ckpt.arrays[key]
-        if name in ("img_pos", "img_dec_pos") and src.shape != t.data.shape:
-            t.data = interpolate_positional(src, old_cfg.grid, mp.cfg.grid)
+        elif name == "img_pos" and src.shape != t.data.shape:
+            t.data = interpolate_positional(src, old_grid, mp.cfg.grid)
         elif src.shape != t.data.shape:
             bad.append(name)
         else:
             t.data = src.copy()
     if bad:
-        raise CheckpointError(f"pretrain checkpoint dim mismatch; offending tensors: {bad}")
-    for name, t in mp.momentum.items():
-        src = ckpt.arrays[f"mom/{name}"]
-        if name == "img_pos" and src.shape != t.data.shape:
-            t.data = interpolate_positional(src, old_cfg.grid, mp.cfg.grid)
-        else:
-            t.data = src.copy()
+        raise CheckpointError(f"pretrain checkpoint incompatible; offending tensors: {bad}")
 
 
 # ---- metrics -------------------------------------------------------------
@@ -431,6 +427,8 @@ def pretrain(
     epoch's checkpoint while the lr schedule still spans cfg.epochs.
     """
     cfg.validate()
+    if cfg.phase != "pretrain":
+        raise ConfigError(f"pretrain() needs a pretrain config, got phase {cfg.phase!r}")
     if not samples:
         raise ConfigError("empty caption dataset")
     os.makedirs(out_dir, exist_ok=True)
@@ -469,8 +467,6 @@ def pretrain(
             mp.zero_grads()
             parts, mom_projs = pretrain_losses(mp, cfg, batch, queue, rng)
             total, report = combined_loss(parts, cfg.enabled())
-            if np.isnan(total.data):
-                raise NumericsError(f"NaN loss at step {step} (epoch {epoch})")
             total.backward()
             clip_global_norm(mp, cfg.grad_clip)
             adamw_step(mp, adam, lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.adam_eps)
@@ -556,6 +552,8 @@ def finetune(
     trains from random initialization (the without-pretraining ablation).
     """
     cfg.validate()
+    if cfg.phase != "finetune":
+        raise ConfigError(f"finetune() needs a finetune config, got phase {cfg.phase!r}")
     if not samples:
         raise ConfigError("empty VQA dataset")
     os.makedirs(out_dir, exist_ok=True)
@@ -600,20 +598,9 @@ def finetune(
                 [samples[i].answer for i in batch_idx],
                 vocab,
             )
-            if np.isnan(loss.data):
-                raise NumericsError(f"NaN loss at step {step} (epoch {epoch})")
             loss.backward()
             clip_global_norm(mp, cfg.grad_clip)
-            adamw_step(
-                mp,
-                adam,
-                lr,
-                cfg.weight_decay,
-                cfg.beta1,
-                cfg.beta2,
-                cfg.adam_eps,
-                skip_prefixes=IMG_DECODER_PREFIXES,
-            )
+            adamw_step(mp, adam, lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.adam_eps)
             step += 1
             log.write(
                 {

@@ -438,7 +438,7 @@ def test_criterion_09_positional_interpolation(tmp_path):
 def test_criterion_10_eval_and_attention(tmp_path):
     root = tmp_path / "vqa"
     samples = generate_vqa(10, 2, root, image_size=32)
-    cfg = preset("test", seed=2)
+    cfg = preset("test", seed=2, phase="finetune")
     mp = ModelParams(cfg.model_config(), np.random.default_rng(2))
     vocab = build_vocab([s.question for s in samples] + [s.answer for s in samples], cfg.vocab_size)
 

@@ -122,9 +122,10 @@ def pipeline(tmp_path_factory):
 
 def test_pipeline_writes_resolved_config(pipeline):
     root, caps, vqa, pre, ft = pipeline
-    for d in (pre, ft):
-        cfg = json.loads((d / "resolved_config.json").read_text())
-        assert cfg["dim"] == 16
+    for d, phase in ((pre, "pretrain"), (ft, "finetune")):
+        cfg = json.loads((d / "config.json").read_text())
+        assert cfg["dim"] == 16 and cfg["phase"] == phase
+        assert not (d / "resolved_config.json").exists()
         assert (d / "checkpoint.bin").exists()
         assert (d / "metrics.jsonl").exists()
 
@@ -138,6 +139,17 @@ def test_eval_command(pipeline, tmp_path):
     ) == 0
     assert (out / "eval_report.txt").exists()
     assert (out / "predictions.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "attn"])
+def test_eval_and_attn_reject_pretrain_checkpoint(pipeline, tmp_path, capsys, command):
+    root, caps, vqa, pre, ft = pipeline
+    rc = run_cli(
+        command, "--data", str(vqa), "--checkpoint", str(pre / "checkpoint.bin"),
+        "--out", str(tmp_path / command),
+    )
+    assert rc == 1
+    assert "'pretrain'" in capsys.readouterr().err
 
 
 def test_attn_command(pipeline, tmp_path):

@@ -23,7 +23,7 @@ from m2i2.vision import load_image
 def setup(tmp_path_factory):
     root = tmp_path_factory.mktemp("vqa")
     samples = generate_vqa(12, 3, root, image_size=32)
-    cfg = preset("test", seed=0)
+    cfg = preset("test", seed=0, phase="finetune")
     mp = ModelParams(cfg.model_config(), np.random.default_rng(0))
     corpus = [s.question for s in samples] + [s.answer for s in samples]
     vocab = build_vocab(corpus, cfg.vocab_size)

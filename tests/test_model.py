@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from m2i2.errors import ContractError
+from m2i2.gradcheck import OP_TOL, fd_grad, rel_err
 from m2i2.model import (
     ModelConfig,
     ModelParams,
@@ -14,12 +15,9 @@ from m2i2.model import (
     itm_logits,
     mlm_logits,
     project_itc,
-    resize_model,
 )
 from m2i2.tensor import Tensor, cross_entropy
 from m2i2.text import BOS, CLS, PAD
-
-from fdcheck import fd_grad, rel_err
 
 
 def tiny_cfg(**kw):
@@ -46,6 +44,29 @@ def tiny_cfg(**kw):
 @pytest.fixture
 def mp():
     return ModelParams(tiny_cfg(), np.random.default_rng(0))
+
+
+@pytest.fixture
+def ft_mp():
+    return ModelParams(tiny_cfg(phase="finetune"), np.random.default_rng(0))
+
+
+def test_phase_parameter_sets():
+    pre = ModelParams(tiny_cfg(), np.random.default_rng(0))
+    ft = ModelParams(tiny_cfg(phase="finetune"), np.random.default_rng(0))
+    assert not [n for n in pre.params if n.startswith("ans_")]
+    pretrain_only = ("img_dec", "img_mask_tok", "mim.", "itc", "itm.", "mlm.")
+    assert not [n for n in ft.params if n.startswith(pretrain_only)]
+    assert ft.momentum == {} and pre.momentum
+    shared = pre.params.keys() & ft.params.keys()
+    assert {"tok_embed", "img_pos", "fusion.0.xattn.wq"} <= shared
+    for name in shared:
+        assert np.array_equal(pre.params[name].data, ft.params[name].data), name
+
+
+def test_unknown_phase_rejected():
+    with pytest.raises(ContractError):
+        tiny_cfg(phase="transfer")
 
 
 RNG = np.random.default_rng(1)
@@ -125,7 +146,7 @@ class TestDecodeImage:
         tape_g = mp.params[name].grad.copy()
         num = fd_grad(loss_at, w0)
         mp.params[name].data = w0
-        assert rel_err(tape_g, num) < 1e-4
+        assert rel_err(tape_g, num) < OP_TOL
 
 
 class TestEncodeText:
@@ -197,38 +218,38 @@ class TestDecodeAnswer:
         img = encode_image(mp, rand_patches(b, 3, 16), np.tile(np.arange(3), (b, 1)))
         return fuse(mp, encode_text(mp, ids), img, ids), ids
 
-    def test_output_shape(self, mp):
-        fused, ids = self._fused(mp)
+    def test_output_shape(self, ft_mp):
+        fused, ids = self._fused(ft_mp)
         prefix = np.array([[BOS, 8, 9]])
-        out = decode_answer(mp, fused, ids, prefix)
+        out = decode_answer(ft_mp, fused, ids, prefix)
         assert out.shape == (1, 3, 32)
 
-    def test_causal_mask(self, mp):
-        fused, ids = self._fused(mp)
-        a = decode_answer(mp, fused, ids, np.array([[BOS, 8, 9, 10]])).data[0, 1]
-        b = decode_answer(mp, fused, ids, np.array([[BOS, 8, 30, 31]])).data[0, 1]
+    def test_causal_mask(self, ft_mp):
+        fused, ids = self._fused(ft_mp)
+        a = decode_answer(ft_mp, fused, ids, np.array([[BOS, 8, 9, 10]])).data[0, 1]
+        b = decode_answer(ft_mp, fused, ids, np.array([[BOS, 8, 30, 31]])).data[0, 1]
         assert np.abs(a - b).max() < 1e-9
 
-    def test_empty_prefix_rejected(self, mp):
-        fused, ids = self._fused(mp)
+    def test_empty_prefix_rejected(self, ft_mp):
+        fused, ids = self._fused(ft_mp)
         with pytest.raises(ContractError):
-            decode_answer(mp, fused, ids, np.zeros((1, 0), dtype=np.int64))
+            decode_answer(ft_mp, fused, ids, np.zeros((1, 0), dtype=np.int64))
 
-    def test_must_start_with_bos(self, mp):
-        fused, ids = self._fused(mp)
+    def test_must_start_with_bos(self, ft_mp):
+        fused, ids = self._fused(ft_mp)
         with pytest.raises(ContractError):
-            decode_answer(mp, fused, ids, np.array([[8, 9]]))
+            decode_answer(ft_mp, fused, ids, np.array([[8, 9]]))
 
-    def test_cross_attention_is_live(self, mp):
-        fused, ids = self._fused(mp)
+    def test_cross_attention_is_live(self, ft_mp):
+        fused, ids = self._fused(ft_mp)
         prefix = np.array([[BOS, 8]])
-        a = decode_answer(mp, fused, ids, prefix).data
+        a = decode_answer(ft_mp, fused, ids, prefix).data
         perturbed = Tensor(fused.data + RNG.normal(0, 0.1, size=fused.shape))
-        b = decode_answer(mp, perturbed, ids, prefix).data
+        b = decode_answer(ft_mp, perturbed, ids, prefix).data
         assert np.abs(a - b).max() > 0.0
 
     def test_cls_mode(self):
-        mp = ModelParams(tiny_cfg(answer_cross_mode="cls"), np.random.default_rng(0))
+        mp = ModelParams(tiny_cfg(answer_cross_mode="cls", phase="finetune"), np.random.default_rng(0))
         fused, ids = TestDecodeAnswer()._fused(mp)
         out = decode_answer(mp, fused, ids, np.array([[BOS, 8]]))
         assert out.shape == (1, 2, 32)
@@ -269,13 +290,6 @@ class TestInterpolatePositional:
     def test_row_count_mismatch(self):
         with pytest.raises(ContractError):
             interpolate_positional(RNG.random((10, 8)), (4, 4), (6, 6))
-
-    def test_resize_model_runs_at_double_resolution(self, mp):
-        big = resize_model(mp, 16)
-        assert big.cfg.grid == (4, 4)
-        pos = np.tile(np.arange(4), (1, 1))
-        out = encode_image(big, rand_patches(1, 4, 16), pos)
-        assert out.shape == (1, 5, 16)
 
 
 class TestEndToEndGradients:

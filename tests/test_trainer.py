@@ -1,18 +1,18 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from m2i2.config import preset
-from m2i2.errors import CheckpointError
+from m2i2.errors import CheckpointError, ConfigError
 from m2i2.model import ModelParams
 from m2i2.momentum import FeatureQueue, enqueue
 from m2i2.synth import generate_captions, generate_vqa
 from m2i2.text import Vocab, RESERVED
 from m2i2.trainer import (
     AdamState,
-    ANSWER_DECODER_PREFIXES,
     adamw_step,
     answer_targets,
     clip_global_norm,
@@ -73,7 +73,7 @@ def test_adamw_hand_recurrence():
     p.data = np.array(1.0)
     p.grad = np.array(1.0)
     st = AdamState()
-    adamw_step(mp, st, lr=0.1, weight_decay=0.0, eps=1e-8, skip_prefixes=())
+    adamw_step(mp, st, lr=0.1, weight_decay=0.0, eps=1e-8)
     assert p.data == pytest.approx(1.0 - 0.1 / (1 + 1e-8), abs=1e-12)
     assert st.t == 1
 
@@ -86,19 +86,6 @@ def test_adamw_decay_only():
     adamw_step(mp, AdamState(), lr=0.5, weight_decay=0.01)
     for k, t in mp.params.items():
         assert np.allclose(t.data, vals[k] * (1 - 0.5 * 0.01), atol=1e-15)
-
-
-def test_adamw_skip_prefixes():
-    mp = tiny_params()
-    before = {k: t.data.copy() for k, t in mp.params.items()}
-    for t in mp.params.values():
-        t.grad = np.ones_like(t.data)
-    adamw_step(mp, AdamState(), lr=0.1, weight_decay=0.0, skip_prefixes=("ans_dec.",))
-    for k, t in mp.params.items():
-        if k.startswith("ans_dec."):
-            assert np.array_equal(t.data, before[k])
-        else:
-            assert not np.array_equal(t.data, before[k])
 
 
 def test_clip_global_norm():
@@ -195,6 +182,45 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(p)
 
 
+def test_checkpoint_version_1_rejected(tmp_path):
+    *_rest, path = _ckpt_fixture(tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(path)
+
+
+def _first_array_offsets(raw: bytes) -> tuple[int, int]:
+    """Offsets of the first array's header and of its data."""
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    header = 16 + mlen + 4
+    (nlen,) = struct.unpack("<H", raw[header : header + 2])
+    ndim = raw[header + 2 + nlen]
+    return header, header + 2 + nlen + 1 + 4 * ndim
+
+
+@pytest.mark.parametrize(
+    "section", ["magic", "version", "meta length", "meta", "count", "array header", "mid-array"]
+)
+def test_truncated_checkpoint_raises_checkpoint_error(tmp_path, section):
+    *_rest, path = _ckpt_fixture(tmp_path)
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    header, data = _first_array_offsets(raw)
+    cut = {
+        "magic": 2,
+        "version": 4,
+        "meta length": 8,
+        "meta": 16,
+        "count": 16 + mlen,
+        "array header": header,
+        "mid-array": data + 4,
+    }[section]
+    path.write_bytes(raw[:cut])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
 def test_restore_shape_mismatch_names_tensors(tmp_path):
     cfg, *_rest, path = _ckpt_fixture(tmp_path)
     other = tiny_cfg(seed=1)
@@ -206,19 +232,35 @@ def test_restore_shape_mismatch_names_tensors(tmp_path):
 
 def test_init_from_pretrained_keeps_answer_decoder_fresh(tmp_path):
     cfg, mp, adam, q, vocab, path = _ckpt_fixture(tmp_path)
-    fresh = tiny_params(cfg, seed=99)
+    fresh = tiny_params(tiny_cfg(seed=1, phase="finetune"), seed=99)
     before = {k: t.data.copy() for k, t in fresh.params.items()}
     init_from_pretrained(fresh, load_checkpoint(path))
     for name, t in fresh.params.items():
-        if name.startswith(ANSWER_DECODER_PREFIXES):
-            assert np.array_equal(t.data, before[name]), name
-        else:
+        if name in mp.params:
             assert np.array_equal(t.data, mp.params[name].data), name
+        else:
+            assert name.startswith("ans_") and np.array_equal(t.data, before[name]), name
+
+
+def test_init_from_pretrained_rejects_incompatible_checkpoints(tmp_path):
+    cfg, mp, adam, q, vocab, path = _ckpt_fixture(tmp_path)
+    ft_cfg = tiny_cfg(seed=1, phase="finetune")
+    ft_path = tmp_path / "ft.bin"
+    save_checkpoint(ft_path, ft_cfg, tiny_params(ft_cfg), AdamState(), None, vocab, step=0, epoch=0)
+    with pytest.raises(CheckpointError, match="finetune"):
+        init_from_pretrained(tiny_params(ft_cfg), load_checkpoint(ft_path))
+    missing = load_checkpoint(path)
+    del missing.arrays["param/tok_embed"]
+    with pytest.raises(CheckpointError, match="tok_embed"):
+        init_from_pretrained(tiny_params(ft_cfg), missing)
+    wide = tiny_cfg(seed=1, phase="finetune", dim=32)
+    with pytest.raises(CheckpointError, match="tok_embed"):
+        init_from_pretrained(tiny_params(wide), load_checkpoint(path))
 
 
 def test_init_from_pretrained_interpolates_resolution(tmp_path):
     cfg, mp, adam, q, vocab, path = _ckpt_fixture(tmp_path)
-    big = tiny_cfg(seed=1, image_size=cfg.image_size * 2)
+    big = tiny_cfg(seed=1, image_size=cfg.image_size * 2, phase="finetune")
     fresh = ModelParams(big.model_config(), np.random.default_rng(0))
     init_from_pretrained(fresh, load_checkpoint(path))
     n_big = (big.image_size // big.patch_size) ** 2
@@ -298,7 +340,7 @@ def test_finetune_resume_bitwise(caption_data, vqa_data, tmp_path):
         assert np.array_equal(a.arrays[key], b.arrays[key]), key
 
 
-def test_finetune_freezes_image_decoder(caption_data, vqa_data, tmp_path):
+def test_finetune_checkpoint_holds_only_finetune_tensors(caption_data, vqa_data, tmp_path):
     croot, csamples = caption_data
     vroot, vsamples = vqa_data
     pre = pretrain(tiny_cfg(seed=9, epochs=1), csamples, croot, tmp_path / "pre")
@@ -307,9 +349,20 @@ def test_finetune_freezes_image_decoder(caption_data, vqa_data, tmp_path):
         vsamples, vroot, tmp_path / "ft", init_checkpoint=pre,
     )
     a, b = load_checkpoint(pre), load_checkpoint(ft)
-    assert np.array_equal(a.arrays["param/mim.w"], b.arrays["param/mim.w"])
-    assert np.array_equal(a.arrays["param/img_mask_tok"], b.arrays["param/img_mask_tok"])
+    assert not [k for k in a.arrays if "/ans_" in k]
+    pretrain_only = ("img_dec", "img_mask_tok", "mim.", "itc", "itm.", "mlm.")
+    assert not [k for k in b.arrays if k.split("/", 1)[1].startswith(pretrain_only)]
+    assert not [k for k in b.arrays if k.startswith(("mom/", "queue/"))]
     assert not np.array_equal(a.arrays["param/patch_embed.w"], b.arrays["param/patch_embed.w"])
+
+
+def test_training_loops_reject_the_other_phase(caption_data, vqa_data, tmp_path):
+    croot, csamples = caption_data
+    vroot, vsamples = vqa_data
+    with pytest.raises(ConfigError, match="finetune"):
+        pretrain(tiny_cfg(phase="finetune"), csamples, croot, tmp_path / "pre")
+    with pytest.raises(ConfigError, match="pretrain"):
+        finetune(tiny_cfg(), vsamples, vroot, tmp_path / "ft")
 
 
 def test_finetune_from_scratch_runs(vqa_data, tmp_path):

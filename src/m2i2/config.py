@@ -12,7 +12,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .model import ModelConfig
 
 
@@ -67,12 +67,17 @@ class TrainConfig:
     answer_cross_mode: str = "full"
 
     def validate(self) -> "TrainConfig":
-        if self.phase not in ("pretrain", "finetune"):
-            raise ConfigError(f"unknown phase {self.phase!r}")
+        try:
+            self.model_config()
+        except ContractError as e:
+            raise ConfigError(str(e)) from e
         if self.lr_final > self.lr_init:
             raise ConfigError("lr_final must be <= lr_init")
-        if self.enable_itm and self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2 when ITM is enabled")
+        # the training loop drops every batch of fewer than 2 samples
+        if self.batch_size < 2:
+            raise ConfigError("batch_size must be >= 2")
+        if self.negative_strategy not in ("uniform", "hard"):
+            raise ConfigError(f"unknown negative_strategy {self.negative_strategy!r}")
         if self.phase == "pretrain" and not (
             self.enable_mim or self.enable_mlm or self.enable_itm or self.enable_itc
         ):

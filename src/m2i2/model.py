@@ -55,6 +55,8 @@ class ModelConfig:
             raise ContractError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.image_size % self.patch_size:
             raise ContractError("image_size must be divisible by patch_size")
+        if self.answer_cross_mode not in ("full", "cls"):
+            raise ContractError(f"unknown answer_cross_mode {self.answer_cross_mode!r}")
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -101,85 +103,101 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndar
     return out
 
 
+def _layout(cfg: ModelConfig):
+    """Yields (name, shape, fill) for every tensor of either phase, in draw
+    order; fill None means a truncated-normal draw."""
+    d = cfg.dim
+    yield "patch_embed.w", (cfg.patch_dim, d), None
+    yield "patch_embed.b", (d,), 0.0
+    yield "img_cls", (1, d), None
+    yield "img_mask_tok", (1, d), None
+    yield "img_pos", (1 + cfg.n_patches, d), None
+    yield "img_dec_pos", (1 + cfg.n_patches, d), None
+    yield "tok_embed", (cfg.vocab_size, d), None
+    yield "txt_pos", (cfg.max_text_len, d), None
+    yield "ans_pos", (cfg.max_answer_len, d), None
+
+    def stack(prefix: str, depth: int, cross: bool):
+        for i in range(depth):
+            p = f"{prefix}.{i}"
+            for ln in ("ln1", "ln2") + (("ln_x",) if cross else ()):
+                yield f"{p}.{ln}.g", (d,), 1.0
+                yield f"{p}.{ln}.b", (d,), 0.0
+            for att in ("attn",) + (("xattn",) if cross else ()):
+                for w in ("wq", "wk", "wv", "wo"):
+                    yield f"{p}.{att}.{w}", (d, d), None
+                    yield f"{p}.{att}.{w[1]}b", (d,), 0.0
+            yield f"{p}.mlp.w1", (d, cfg.mlp_ratio * d), None
+            yield f"{p}.mlp.b1", (cfg.mlp_ratio * d,), 0.0
+            yield f"{p}.mlp.w2", (cfg.mlp_ratio * d, d), None
+            yield f"{p}.mlp.b2", (d,), 0.0
+        yield f"{prefix}.ln_f.g", (d,), 1.0
+        yield f"{prefix}.ln_f.b", (d,), 0.0
+
+    yield from stack("img_enc", cfg.depth_img_enc, cross=False)
+    yield from stack("txt_enc", cfg.depth_txt_enc, cross=False)
+    yield from stack("fusion", cfg.depth_fusion, cross=True)
+    yield from stack("img_dec", cfg.depth_img_dec, cross=False)
+    yield from stack("ans_dec", cfg.depth_ans_dec, cross=True)
+
+    yield "itc_img.w", (d, cfg.proj_dim), None
+    yield "itc_img.b", (cfg.proj_dim,), 0.0
+    yield "itc_txt.w", (d, cfg.proj_dim), None
+    yield "itc_txt.b", (cfg.proj_dim,), 0.0
+    # stored as log so optimizer updates are multiplicative in tau, which
+    # keeps the temperature from crashing into its lower clamp
+    yield "itc.log_temp", (), np.log(0.07)
+    yield "itm.w", (d, 2), None
+    yield "itm.b", (2,), 0.0
+    yield "mlm.w", (d, cfg.vocab_size), None
+    yield "mlm.b", (cfg.vocab_size,), 0.0
+    yield "mim.w", (d, cfg.patch_dim), None
+    yield "mim.b", (cfg.patch_dim,), 0.0
+    yield "ans_head.w", (d, cfg.vocab_size), None
+    yield "ans_head.b", (cfg.vocab_size,), 0.0
+
+
 class ModelParams:
     """Named parameter tensors of one phase; in pretraining, plus a momentum
-    copy of the unimodal subset."""
+    copy of the unimodal subset.
+
+    ModelParams(cfg, rng) draws fresh values; ModelParams.from_arrays copies
+    saved ones and draws nothing.
+    """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.params: dict[str, Tensor] = {}
-        self._foreign = PHASE_ONLY["finetune" if cfg.phase == "pretrain" else "pretrain"]
-        self._init(rng)
-        self.momentum: dict[str, Tensor] = {
-            name: Tensor(t.data.copy())
-            for name, t in self.params.items()
-            if cfg.phase == "pretrain" and name.startswith(MOMENTUM_PREFIXES)
-        }
-
-    def _add(self, name: str, data: np.ndarray) -> None:
-        # the other phase's tensors are drawn but not kept, so every kept
+        # the other phase's tensors are drawn too but not kept, so every kept
         # tensor takes the same values from a given generator in either phase
-        if name.startswith(self._foreign):
-            return
-        if name in self.params:
-            raise ContractError(f"parameter {name} registered twice")
-        self.params[name] = Tensor(data, requires_grad=True)
+        drawn = {
+            name: _trunc_normal(rng, shape) if fill is None else np.full(shape, fill)
+            for name, shape, fill in _layout(cfg)
+        }
+        self._hold(cfg, drawn, drawn)
 
-    def _init(self, rng: np.random.Generator) -> None:
-        cfg = self.cfg
-        d = cfg.dim
+    @classmethod
+    def from_arrays(
+        cls, cfg: ModelConfig, params: dict[str, np.ndarray], momentum: dict[str, np.ndarray]
+    ) -> "ModelParams":
+        """A model holding copies of saved parameter and momentum arrays;
+        nothing is drawn. Raises ShapeError naming every tensor that is
+        missing or has the wrong shape."""
+        mp = cls.__new__(cls)
+        mp._hold(cfg, params, momentum)
+        return mp
 
-        def tn(shape):
-            return _trunc_normal(rng, shape)
-
-        self._add("patch_embed.w", tn((cfg.patch_dim, d)))
-        self._add("patch_embed.b", np.zeros(d))
-        self._add("img_cls", tn((1, d)))
-        self._add("img_mask_tok", tn((1, d)))
-        self._add("img_pos", tn((1 + cfg.n_patches, d)))
-        self._add("img_dec_pos", tn((1 + cfg.n_patches, d)))
-        self._add("tok_embed", tn((cfg.vocab_size, d)))
-        self._add("txt_pos", tn((cfg.max_text_len, d)))
-        self._add("ans_pos", tn((cfg.max_answer_len, d)))
-
-        def stack(prefix: str, depth: int, cross: bool):
-            for i in range(depth):
-                p = f"{prefix}.{i}"
-                for ln in ("ln1", "ln2") + (("ln_x",) if cross else ()):
-                    self._add(f"{p}.{ln}.g", np.ones(d))
-                    self._add(f"{p}.{ln}.b", np.zeros(d))
-                for att in ("attn",) + (("xattn",) if cross else ()):
-                    for w in ("wq", "wk", "wv", "wo"):
-                        self._add(f"{p}.{att}.{w}", tn((d, d)))
-                        self._add(f"{p}.{att}.{w[1]}b", np.zeros(d))
-                self._add(f"{p}.mlp.w1", tn((d, cfg.mlp_ratio * d)))
-                self._add(f"{p}.mlp.b1", np.zeros(cfg.mlp_ratio * d))
-                self._add(f"{p}.mlp.w2", tn((cfg.mlp_ratio * d, d)))
-                self._add(f"{p}.mlp.b2", np.zeros(d))
-            self._add(f"{prefix}.ln_f.g", np.ones(d))
-            self._add(f"{prefix}.ln_f.b", np.zeros(d))
-
-        stack("img_enc", cfg.depth_img_enc, cross=False)
-        stack("txt_enc", cfg.depth_txt_enc, cross=False)
-        stack("fusion", cfg.depth_fusion, cross=True)
-        stack("img_dec", cfg.depth_img_dec, cross=False)
-        stack("ans_dec", cfg.depth_ans_dec, cross=True)
-
-        self._add("itc_img.w", tn((d, cfg.proj_dim)))
-        self._add("itc_img.b", np.zeros(cfg.proj_dim))
-        self._add("itc_txt.w", tn((d, cfg.proj_dim)))
-        self._add("itc_txt.b", np.zeros(cfg.proj_dim))
-        # stored as log so optimizer updates are multiplicative in tau, which
-        # keeps the temperature from crashing into its lower clamp
-        self._add("itc.log_temp", np.asarray(np.log(0.07)))
-        self._add("itm.w", tn((d, 2)))
-        self._add("itm.b", np.zeros(2))
-        self._add("mlm.w", tn((d, cfg.vocab_size)))
-        self._add("mlm.b", np.zeros(cfg.vocab_size))
-        self._add("mim.w", tn((d, cfg.patch_dim)))
-        self._add("mim.b", np.zeros(cfg.patch_dim))
-        self._add("ans_head.w", tn((d, cfg.vocab_size)))
-        self._add("ans_head.b", np.zeros(cfg.vocab_size))
+    def _hold(self, cfg: ModelConfig, params: dict[str, np.ndarray], momentum: dict[str, np.ndarray]) -> None:
+        """Keep copies of the arrays a model of cfg.phase holds, with names
+        and shapes taken from cfg."""
+        foreign = PHASE_ONLY["finetune" if cfg.phase == "pretrain" else "pretrain"]
+        shapes = {name: shape for name, shape, _ in _layout(cfg) if not name.startswith(foreign)}
+        mirrored = [n for n in shapes if cfg.phase == "pretrain" and n.startswith(MOMENTUM_PREFIXES)]
+        bad = [n for n in shapes if n not in params or params[n].shape != shapes[n]]
+        bad += [f"momentum {n}" for n in mirrored if n not in momentum or momentum[n].shape != shapes[n]]
+        if bad:
+            raise ShapeError(f"offending tensors: {bad}")
+        self.cfg = cfg
+        self.params: dict[str, Tensor] = {n: Tensor(params[n].copy(), requires_grad=True) for n in shapes}
+        self.momentum: dict[str, Tensor] = {n: Tensor(momentum[n].copy()) for n in mirrored}
 
     def source(self, use_momentum: bool) -> dict[str, Tensor]:
         return self.momentum if use_momentum else self.params

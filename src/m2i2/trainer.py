@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrainConfig
-from .errors import CheckpointError, ConfigError, ContractError, NumericsError
+from .errors import CheckpointError, ConfigError, ContractError, NumericsError, ShapeError
 from .model import (
     PHASE_ONLY,
     ModelParams,
@@ -167,14 +167,25 @@ def save_checkpoint(
         arrays["queue/img"] = queue.img_slots
         arrays["queue/txt"] = queue.txt_slots
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", CKPT_VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            _write_array(f, name, arrays[name])
+    # written beside the target and renamed over it, so a crash mid-write
+    # leaves the previous checkpoint whole
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack("<I", CKPT_VERSION))
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            f.write(struct.pack("<I", len(arrays)))
+            for name in sorted(arrays):
+                _write_array(f, name, arrays[name])
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -213,33 +224,29 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path} is truncated or malformed: {e}") from e
 
 
+def _section(arrays: dict[str, np.ndarray], kind: str) -> dict[str, np.ndarray]:
+    """The arrays saved under "<kind>/", keyed by the rest of their name."""
+    return {key[len(kind) + 1 :]: a for key, a in arrays.items() if key.startswith(kind + "/")}
+
+
 def restore_model(ckpt: Checkpoint, cfg: TrainConfig) -> tuple[ModelParams, AdamState, FeatureQueue | None]:
     """Rebuild model/optimizer/queue state exactly as saved."""
-    mp = ModelParams(cfg.model_config(), np.random.default_rng([cfg.seed, 0x11]))
-    bad = []
-    for kind, tensors in (("param", mp.params), ("mom", mp.momentum)):
-        for name, t in tensors.items():
-            key = f"{kind}/{name}"
-            if key not in ckpt.arrays or ckpt.arrays[key].shape != t.data.shape:
-                bad.append(key)
-            else:
-                t.data = ckpt.arrays[key].copy()
-    if bad:
-        raise CheckpointError(f"checkpoint incompatible with config; offending tensors: {bad}")
-    adam = AdamState(t=ckpt.meta["adam_t"])
-    for key, a in ckpt.arrays.items():
-        if key.startswith("adam_m/"):
-            adam.m[key[len("adam_m/"):]] = a.copy()
-        elif key.startswith("adam_v/"):
-            adam.v[key[len("adam_v/"):]] = a.copy()
+    try:
+        mp = ModelParams.from_arrays(
+            cfg.model_config(), _section(ckpt.arrays, "param"), _section(ckpt.arrays, "mom")
+        )
+    except ShapeError as e:
+        raise CheckpointError(f"checkpoint incompatible with config; {e}") from e
+    adam = AdamState(
+        m={name: a.copy() for name, a in _section(ckpt.arrays, "adam_m").items()},
+        v={name: a.copy() for name, a in _section(ckpt.arrays, "adam_v").items()},
+        t=ckpt.meta["adam_t"],
+    )
     queue = None
     if ckpt.meta["queue"] is not None:
-        qm = ckpt.meta["queue"]
-        queue = FeatureQueue(qm["capacity"], qm["proj_dim"])
+        queue = FeatureQueue(**ckpt.meta["queue"])
         queue.img_slots = ckpt.arrays["queue/img"].copy()
         queue.txt_slots = ckpt.arrays["queue/txt"].copy()
-        queue.write_ptr = qm["write_ptr"]
-        queue.filled = qm["filled"]
     return mp, adam, queue
 
 
@@ -273,17 +280,19 @@ def init_from_pretrained(mp: ModelParams, ckpt: Checkpoint) -> None:
 # ---- metrics -------------------------------------------------------------
 
 
-class MetricsLog:
-    def __init__(self, path):
-        self.path = path
-        self._f = open(path, "a", encoding="utf-8")
-
-    def write(self, record: dict) -> None:
-        self._f.write(json.dumps(record, sort_keys=True) + "\n")
-        self._f.flush()
-
-    def close(self) -> None:
-        self._f.close()
+def _log_through(path, step: int) -> list[str]:
+    """The records of the log at path up to and including step; none for a
+    fresh run (step 0), so a resumed log agrees with its checkpoint."""
+    kept = []
+    if step and os.path.exists(path):
+        with open(path, encoding="utf-8") as f:
+            for line in f:
+                # records are in step order; a line cut short by a crash has
+                # no newline and comes after the last checkpoint
+                if not line.endswith("\n") or json.loads(line)["step"] > step:
+                    break
+                kept.append(line)
+    return kept
 
 
 # ---- batch assembly ------------------------------------------------------
@@ -369,8 +378,6 @@ def pretrain_losses(
         txt_proj = project_itc(mp, txt_feats[:, 0, :], "txt")
 
     if cfg.enable_itm:
-        if b < 2:
-            raise ContractError("ITM needs batch size >= 2")
         sims = None
         if cfg.negative_strategy == "hard":
             sims = img_proj.data @ txt_proj.data.T
@@ -408,9 +415,66 @@ def _epoch_batches(n: int, cfg: TrainConfig, epoch: int) -> list[np.ndarray]:
     return out
 
 
-def _clamp_temperature(mp: ModelParams) -> None:
-    lt = mp.params["itc.log_temp"]
-    lt.data = np.clip(lt.data, math.log(TEMP_MIN), math.log(TEMP_MAX))
+def _train(
+    cfg: TrainConfig, phase: str, samples: list, texts: list[str], data_root, out_dir,
+    resume_from, stop_after_epoch: int | None, fresh, forward,
+) -> str:
+    """The training loop both phases run; returns the checkpoint path.
+
+    texts are the sample strings the text encoder reads. fresh(mp) readies
+    a new run's freshly drawn model and returns its vocab and ITC queue.
+    forward(mp, queue, vocab, samples, images, token_ids, step) takes one
+    batch and returns its loss, its log fields and a callable to run after
+    the optimizer step.
+    """
+    cfg.validate()
+    if cfg.phase != phase:
+        raise ConfigError(f"{phase}() needs a {phase} config, got phase {cfg.phase!r}")
+    if len(samples) < 2:
+        raise ConfigError(f"{phase} needs at least 2 samples, got {len(samples)}")
+    os.makedirs(out_dir, exist_ok=True)
+    cfg.save(os.path.join(out_dir, "config.json"))
+    images = [load_image(os.path.join(data_root, s.image), channels=cfg.channels) for s in samples]
+
+    if resume_from is not None:
+        ckpt = load_checkpoint(resume_from)
+        vocab = ckpt.vocab
+        mp, adam, queue = restore_model(ckpt, cfg)
+        step = ckpt.meta["step"]
+        start_epoch = ckpt.meta["epoch"] + 1
+    else:
+        mp = ModelParams(cfg.model_config(), np.random.default_rng([cfg.seed, 0x11]))
+        vocab, queue = fresh(mp)
+        adam, step, start_epoch = AdamState(), 0, 0
+    vocab.save(os.path.join(out_dir, "vocab.txt"))
+
+    token_ids = [tokenize(t, vocab, cfg.max_text_len) for t in texts]
+    total_steps = cfg.epochs * len(_epoch_batches(len(samples), cfg, 0))
+    log_path = os.path.join(out_dir, "metrics.jsonl")
+    ckpt_path = os.path.join(out_dir, "checkpoint.bin")
+    kept = _log_through(log_path, step)
+    with open(log_path, "w", encoding="utf-8") as log:
+        log.writelines(kept)
+        for epoch in range(start_epoch, cfg.epochs):
+            for batch_idx in _epoch_batches(len(samples), cfg, epoch):
+                t0 = time.monotonic()
+                lr = cosine_lr(step, total_steps, cfg.lr_init, cfg.lr_final)
+                mp.zero_grads()
+                batch = [[seq[i] for i in batch_idx] for seq in (samples, images, token_ids)]
+                loss, fields, after_step = forward(mp, queue, vocab, *batch, step)
+                loss.backward()
+                clip_global_norm(mp, cfg.grad_clip)
+                adamw_step(mp, adam, lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.adam_eps)
+                after_step()
+                step += 1
+                wall_ms = round((time.monotonic() - t0) * 1e3, 3)
+                record = {"step": step, "epoch": epoch, "lr": lr, **fields, "wall_ms": wall_ms}
+                log.write(json.dumps(record, sort_keys=True) + "\n")
+                log.flush()
+            save_checkpoint(ckpt_path, cfg, mp, adam, queue, vocab, step, epoch)
+            if stop_after_epoch is not None and epoch >= stop_after_epoch:
+                break
+    return ckpt_path
 
 
 def pretrain(
@@ -426,73 +490,31 @@ def pretrain(
     stop_after_epoch simulates an interruption: the loop exits after that
     epoch's checkpoint while the lr schedule still spans cfg.epochs.
     """
-    cfg.validate()
-    if cfg.phase != "pretrain":
-        raise ConfigError(f"pretrain() needs a pretrain config, got phase {cfg.phase!r}")
-    if not samples:
-        raise ConfigError("empty caption dataset")
-    os.makedirs(out_dir, exist_ok=True)
-    cfg.save(os.path.join(out_dir, "config.json"))
 
-    images = [load_image(os.path.join(data_root, s.image), channels=cfg.channels) for s in samples]
-
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        vocab = ckpt.vocab
-        mp, adam, queue = restore_model(ckpt, cfg)
-        step = ckpt.meta["step"]
-        start_epoch = ckpt.meta["epoch"] + 1
-    else:
+    def fresh(mp):
         vocab = build_vocab([s.caption for s in samples], cfg.vocab_size)
-        mp = ModelParams(cfg.model_config(), np.random.default_rng([cfg.seed, 0x11]))
-        adam = AdamState()
-        queue = FeatureQueue(cfg.queue_capacity, cfg.proj_dim)
-        step = 0
-        start_epoch = 0
-    vocab.save(os.path.join(out_dir, "vocab.txt"))
+        return vocab, FeatureQueue(cfg.queue_capacity, cfg.proj_dim)
 
-    token_ids = [tokenize(s.caption, vocab, cfg.max_text_len) for s in samples]
-    total_steps = cfg.epochs * len(_epoch_batches(len(samples), cfg, 0))
-    log = MetricsLog(os.path.join(out_dir, "metrics.jsonl"))
-    ckpt_path = os.path.join(out_dir, "checkpoint.bin")
+    def forward(mp, queue, vocab, batch_samples, images, token_ids, step):
+        rng = np.random.default_rng([cfg.seed, 0x5, step])
+        batch = make_pretrain_batch(images, token_ids, cfg, vocab, rng)
+        parts, mom_projs = pretrain_losses(mp, cfg, batch, queue, rng)
+        total, report = combined_loss(parts, cfg.enabled())
 
-    for epoch in range(start_epoch, cfg.epochs):
-        for batch_idx in _epoch_batches(len(samples), cfg, epoch):
-            t0 = time.monotonic()
-            rng = np.random.default_rng([cfg.seed, 0x5, step])
-            batch = make_pretrain_batch(
-                [images[i] for i in batch_idx], [token_ids[i] for i in batch_idx], cfg, vocab, rng
-            )
-            lr = cosine_lr(step, total_steps, cfg.lr_init, cfg.lr_final)
-            mp.zero_grads()
-            parts, mom_projs = pretrain_losses(mp, cfg, batch, queue, rng)
-            total, report = combined_loss(parts, cfg.enabled())
-            total.backward()
-            clip_global_norm(mp, cfg.grad_clip)
-            adamw_step(mp, adam, lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.adam_eps)
-            _clamp_temperature(mp)
+        def after_step():
+            lt = mp.params["itc.log_temp"]
+            lt.data = np.clip(lt.data, math.log(TEMP_MIN), math.log(TEMP_MAX))
             if cfg.enable_itc:
                 momentum_update(mp, cfg.momentum_m)
                 enqueue(queue, *mom_projs)
-            step += 1
-            log.write(
-                {
-                    "step": step,
-                    "epoch": epoch,
-                    "lr": lr,
-                    "mim": report.mim,
-                    "mlm": report.mlm,
-                    "itm": report.itm,
-                    "itc": report.itc,
-                    "total": report.total,
-                    "wall_ms": round((time.monotonic() - t0) * 1e3, 3),
-                }
-            )
-        save_checkpoint(ckpt_path, cfg, mp, adam, queue, vocab, step, epoch)
-        if stop_after_epoch is not None and epoch >= stop_after_epoch:
-            break
-    log.close()
-    return ckpt_path
+
+        fields = {k: getattr(report, k) for k in ("mim", "mlm", "itm", "itc", "total")}
+        return total, fields, after_step
+
+    return _train(
+        cfg, "pretrain", samples, [s.caption for s in samples], data_root, out_dir,
+        resume_from, stop_after_epoch, fresh, forward,
+    )
 
 
 # ---- finetuning ----------------------------------------------------------
@@ -551,68 +573,21 @@ def finetune(
     init_checkpoint: pretrain checkpoint to initialize encoders from; None
     trains from random initialization (the without-pretraining ablation).
     """
-    cfg.validate()
-    if cfg.phase != "finetune":
-        raise ConfigError(f"finetune() needs a finetune config, got phase {cfg.phase!r}")
-    if not samples:
-        raise ConfigError("empty VQA dataset")
-    os.makedirs(out_dir, exist_ok=True)
-    cfg.save(os.path.join(out_dir, "config.json"))
-    images = [load_image(os.path.join(data_root, s.image), channels=cfg.channels) for s in samples]
 
-    corpus = [s.question for s in samples] + [s.answer for s in samples]
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        vocab = ckpt.vocab
-        mp, adam, _ = restore_model(ckpt, cfg)
-        step = ckpt.meta["step"]
-        start_epoch = ckpt.meta["epoch"] + 1
-    else:
-        mp = ModelParams(cfg.model_config(), np.random.default_rng([cfg.seed, 0x11]))
-        if init_checkpoint is not None:
-            ckpt = load_checkpoint(init_checkpoint)
-            vocab = extend_vocab(ckpt.vocab, corpus, cfg.vocab_size)
-            init_from_pretrained(mp, ckpt)
-        else:
-            vocab = build_vocab(corpus, cfg.vocab_size)
-        adam = AdamState()
-        step = 0
-        start_epoch = 0
-    vocab.save(os.path.join(out_dir, "vocab.txt"))
+    def fresh(mp):
+        corpus = [s.question for s in samples] + [s.answer for s in samples]
+        if init_checkpoint is None:
+            return build_vocab(corpus, cfg.vocab_size), None
+        ckpt = load_checkpoint(init_checkpoint)
+        init_from_pretrained(mp, ckpt)
+        return extend_vocab(ckpt.vocab, corpus, cfg.vocab_size), None
 
-    question_ids = [tokenize(s.question, vocab, cfg.max_text_len) for s in samples]
-    total_steps = cfg.epochs * max(1, len(_epoch_batches(len(samples), cfg, 0)))
-    log = MetricsLog(os.path.join(out_dir, "metrics.jsonl"))
-    ckpt_path = os.path.join(out_dir, "checkpoint.bin")
+    def forward(mp, queue, vocab, batch_samples, images, question_ids, step):
+        answers = [s.answer for s in batch_samples]
+        loss = vqa_forward_loss(mp, cfg, images, np.stack(question_ids), answers, vocab)
+        return loss, {"loss": float(loss.data)}, lambda: None
 
-    for epoch in range(start_epoch, cfg.epochs):
-        for batch_idx in _epoch_batches(len(samples), cfg, epoch):
-            t0 = time.monotonic()
-            lr = cosine_lr(step, total_steps, cfg.lr_init, cfg.lr_final)
-            mp.zero_grads()
-            loss = vqa_forward_loss(
-                mp,
-                cfg,
-                [images[i] for i in batch_idx],
-                np.stack([question_ids[i] for i in batch_idx]),
-                [samples[i].answer for i in batch_idx],
-                vocab,
-            )
-            loss.backward()
-            clip_global_norm(mp, cfg.grad_clip)
-            adamw_step(mp, adam, lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.adam_eps)
-            step += 1
-            log.write(
-                {
-                    "step": step,
-                    "epoch": epoch,
-                    "lr": lr,
-                    "loss": float(loss.data),
-                    "wall_ms": round((time.monotonic() - t0) * 1e3, 3),
-                }
-            )
-        save_checkpoint(ckpt_path, cfg, mp, adam, None, vocab, step, epoch)
-        if stop_after_epoch is not None and epoch >= stop_after_epoch:
-            break
-    log.close()
-    return ckpt_path
+    return _train(
+        cfg, "finetune", samples, [s.question for s in samples], data_root, out_dir,
+        resume_from, stop_after_epoch, fresh, forward,
+    )

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from m2i2 import model, trainer
 from m2i2.config import preset
 from m2i2.errors import CheckpointError, ConfigError
 from m2i2.model import ModelParams
@@ -221,6 +224,46 @@ def test_truncated_checkpoint_raises_checkpoint_error(tmp_path, section):
         load_checkpoint(path)
 
 
+def test_restore_draws_nothing_and_copies(tmp_path, monkeypatch):
+    cfg, mp, *_rest, path = _ckpt_fixture(tmp_path)
+    ckpt = load_checkpoint(path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("restore_model drew random values")
+
+    monkeypatch.setattr(model, "_trunc_normal", no_draw)
+    mp2, adam2, q2 = restore_model(ckpt, cfg)
+    restored = {f"param/{n}": t.data for n, t in mp2.params.items()}
+    restored |= {f"mom/{n}": t.data for n, t in mp2.momentum.items()}
+    restored |= {f"adam_m/{n}": a for n, a in adam2.m.items()}
+    restored |= {f"adam_v/{n}": a for n, a in adam2.v.items()}
+    restored |= {"queue/img": q2.img_slots, "queue/txt": q2.txt_slots}
+    assert set(restored) == set(ckpt.arrays)
+    for key, a in restored.items():
+        assert np.array_equal(a, ckpt.arrays[key]) and not np.shares_memory(a, ckpt.arrays[key]), key
+
+
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    cfg, mp, adam, q, vocab, path = _ckpt_fixture(tmp_path)
+    before = path.read_bytes()
+    calls = []
+    write_array = trainer._write_array
+
+    def failing(f, name, a):
+        calls.append(name)
+        if len(calls) == 10:
+            raise OSError("disk full")
+        write_array(f, name, a)
+
+    monkeypatch.setattr(trainer, "_write_array", failing)
+    mp.params["tok_embed"].data = mp.params["tok_embed"].data + 1.0
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, cfg, mp, adam, q, vocab, step=18, epoch=3)
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).step == 17
+    assert os.listdir(tmp_path) == ["c.bin"]
+
+
 def test_restore_shape_mismatch_names_tensors(tmp_path):
     cfg, *_rest, path = _ckpt_fixture(tmp_path)
     other = tiny_cfg(seed=1)
@@ -373,6 +416,46 @@ def test_finetune_from_scratch_runs(vqa_data, tmp_path):
     recs = read_metrics(tmp_path / "scratch" / "metrics.jsonl")
     assert recs and all(math.isfinite(r["loss"]) for r in recs)
     assert load_checkpoint(path).config.phase == "finetune"
+
+
+@pytest.mark.parametrize("bad", ["heads", "one sample"])
+def test_bad_input_fails_before_any_output(caption_data, tmp_path, bad):
+    root, samples = caption_data
+    cfg = tiny_cfg()
+    if bad == "heads":
+        cfg = dataclasses.replace(cfg, heads=3)
+    else:
+        samples = samples[:1]
+    with pytest.raises(ConfigError):
+        pretrain(cfg, samples, root, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+def test_fresh_runs_into_one_directory_log_once(caption_data, vqa_data, tmp_path):
+    croot, csamples = caption_data
+    vroot, vsamples = vqa_data
+    for _ in range(2):
+        pretrain(tiny_cfg(seed=3, epochs=1), csamples, croot, tmp_path / "pre")
+        finetune(tiny_cfg(seed=3, epochs=1, phase="finetune"), vsamples, vroot, tmp_path / "ft")
+    assert [r["step"] for r in read_metrics(tmp_path / "pre" / "metrics.jsonl")] == [1, 2]
+    assert [r["step"] for r in read_metrics(tmp_path / "ft" / "metrics.jsonl")] == [1, 2]
+
+
+def test_resume_rewinds_log_to_checkpoint(caption_data, tmp_path):
+    # records past the checkpoint stand in for a crash mid-epoch
+    root, samples = caption_data
+    pretrain(tiny_cfg(seed=4, epochs=3), samples, root, tmp_path / "full")
+    ckpt = pretrain(tiny_cfg(seed=4, epochs=3), samples, root, tmp_path / "run", stop_after_epoch=0)
+    log = tmp_path / "run" / "metrics.jsonl"
+    recs = read_metrics(log)
+    with open(log, "a", encoding="utf-8") as f:
+        for step in (3, 4):
+            f.write(json.dumps({**recs[-1], "step": step, "total": -1.0}) + "\n")
+        f.write('{"step": 5, "epo')
+    pretrain(tiny_cfg(seed=4, epochs=3), samples, root, tmp_path / "run", resume_from=ckpt)
+    full = strip_wall(read_metrics(tmp_path / "full" / "metrics.jsonl"))
+    assert strip_wall(read_metrics(log)) == full
+    assert [r["step"] for r in full] == [1, 2, 3, 4, 5, 6]
 
 
 def test_metrics_log_fields(caption_data, tmp_path):

@@ -1,9 +1,10 @@
 """Run configuration: one flat serializable record of every hyperparameter.
 
-JSON on disk, flat keys only. Unknown keys are hard errors so configuration
-drift cannot pass silently. Presets: "test" (depth-1 smoke scale), "desk"
-(CPU-trainable default), "paper" (published depths/sizes; loadable, not
-expected to run at desk scale).
+TrainConfig extends the model's ModelConfig with the training keys, so each
+key is declared once. JSON on disk, flat keys only. Unknown keys are hard
+errors so configuration drift cannot pass silently. Presets: "test" (depth-1
+smoke scale), "desk" (CPU-trainable default), "paper" (published
+depths/sizes; loadable, not expected to run at desk scale).
 """
 
 from __future__ import annotations
@@ -12,14 +13,15 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .model import ModelConfig
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ModelConfig):
+    """The model keys (ModelConfig's fields) plus the training keys below."""
+
     # run
-    phase: str = "pretrain"  # pretrain | finetune
     seed: int = 0
     epochs: int = 40
     batch_size: int = 8
@@ -37,40 +39,16 @@ class TrainConfig:
     # momentum bank
     momentum_m: float = 0.995
     queue_capacity: int = 512
-    # objective toggles and experimental weights (defaults implement the
-    # plain unweighted sum)
+    # objective toggles
     enable_mim: bool = True
     enable_mlm: bool = True
     enable_itm: bool = True
     enable_itc: bool = True
-    weight_mim: float = 1.0
-    weight_mlm: float = 1.0
-    weight_itm: float = 1.0
-    weight_itc: float = 1.0
     negative_strategy: str = "uniform"  # uniform | hard
-    # model dims
-    dim: int = 64
-    heads: int = 4
-    mlp_ratio: int = 4
-    depth_img_enc: int = 2
-    depth_txt_enc: int = 2
-    depth_fusion: int = 2
-    depth_img_dec: int = 2
-    depth_ans_dec: int = 2
-    vocab_size: int = 512
-    max_text_len: int = 24
-    max_answer_len: int = 8
-    image_size: int = 64
-    patch_size: int = 16
-    channels: int = 1
-    proj_dim: int = 32
-    answer_cross_mode: str = "full"
 
     def validate(self) -> "TrainConfig":
-        try:
-            self.model_config()
-        except ContractError as e:
-            raise ConfigError(str(e)) from e
+        # fields may have been assigned since construction
+        self.model_config()
         if self.lr_final > self.lr_init:
             raise ConfigError("lr_final must be <= lr_init")
         # the training loop drops every batch of fewer than 2 samples
@@ -85,25 +63,7 @@ class TrainConfig:
         return self
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            phase=self.phase,
-            dim=self.dim,
-            heads=self.heads,
-            mlp_ratio=self.mlp_ratio,
-            depth_img_enc=self.depth_img_enc,
-            depth_txt_enc=self.depth_txt_enc,
-            depth_fusion=self.depth_fusion,
-            depth_img_dec=self.depth_img_dec,
-            depth_ans_dec=self.depth_ans_dec,
-            vocab_size=self.vocab_size,
-            max_text_len=self.max_text_len,
-            max_answer_len=self.max_answer_len,
-            image_size=self.image_size,
-            patch_size=self.patch_size,
-            channels=self.channels,
-            proj_dim=self.proj_dim,
-            answer_cross_mode=self.answer_cross_mode,
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)})
 
     def enabled(self) -> dict[str, bool]:
         return {
@@ -121,8 +81,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(d) - set(known)
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d).validate()

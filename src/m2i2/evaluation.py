@@ -14,11 +14,11 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import ConfigError
-from .model import ModelParams, decode_answer, encode_image, encode_text, fuse
+from .model import ModelParams, decode_answer, encode_full_images, encode_text, fuse
 from .synth import VqaSample
 from .tensor import log_softmax
 from .text import BOS, EOS, Vocab, detokenize, tokenize
-from .vision import Image, augment, load_image, patchify, write_image
+from .vision import Image, load_image, write_image
 
 
 def normalize_answer(text: str) -> str:
@@ -58,13 +58,6 @@ class EvalReport:
         )
 
 
-def _encode_full_image(mp: ModelParams, cfg: TrainConfig, img: Image):
-    p = patchify(augment(img, cfg.image_size, train=False), cfg.patch_size)
-    vis = p.patches[None]
-    pos = np.arange(p.n_patches)[None]
-    return encode_image(mp, vis, pos), p.grid
-
-
 def fuse_question(
     mp: ModelParams,
     cfg: TrainConfig,
@@ -73,10 +66,10 @@ def fuse_question(
     vocab: Vocab,
     capture: list | None = None,
 ):
-    img_feats, grid = _encode_full_image(mp, cfg, img)
+    img_feats = encode_full_images(mp, [img])
     ids = tokenize(question, vocab, cfg.max_text_len)[None]
     fused = fuse(mp, encode_text(mp, ids), img_feats, ids, capture=capture)
-    return fused, ids, grid
+    return fused, ids, mp.cfg.grid
 
 
 def generate_answer(

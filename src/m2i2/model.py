@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor, concat, gather_rows, layer_norm, softmax
-from .vision import resize_bilinear
+from .vision import Image, augment, patchify, resize_bilinear
 
 NEG_BIAS = -1e9
 
@@ -46,17 +46,14 @@ class ModelConfig:
     patch_size: int = 16
     channels: int = 1
     proj_dim: int = 32
-    answer_cross_mode: str = "full"  # "full" sequence memory or "cls" only
 
     def __post_init__(self):
         if self.phase not in PHASE_ONLY:
-            raise ContractError(f"unknown phase {self.phase!r}")
+            raise ConfigError(f"unknown phase {self.phase!r}")
         if self.dim % self.heads:
-            raise ContractError(f"dim {self.dim} not divisible by heads {self.heads}")
+            raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.image_size % self.patch_size:
-            raise ContractError("image_size must be divisible by patch_size")
-        if self.answer_cross_mode not in ("full", "cls"):
-            raise ContractError(f"unknown answer_cross_mode {self.answer_cross_mode!r}")
+            raise ConfigError("image_size must be divisible by patch_size")
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -316,6 +313,18 @@ def encode_image(
     return transformer_stack(x, P, "img_enc", cfg.depth_img_enc, cfg.heads)
 
 
+def encode_full_images(mp: ModelParams, images: list[Image]) -> Tensor:
+    """Image encoder over every patch of each center-cropped image; the
+    evaluation view. Returns [b, 1+N, dim]."""
+    cfg = mp.cfg
+    vis, pos = [], []
+    for img in images:
+        p = patchify(augment(img, cfg.image_size, train=False), cfg.patch_size)
+        vis.append(p.patches)
+        pos.append(np.arange(p.n_patches))
+    return encode_image(mp, np.stack(vis), np.stack(pos))
+
+
 def decode_image(
     mp: ModelParams,
     encoder_features: Tensor,
@@ -408,7 +417,7 @@ def decode_answer(
 
     prefix_ids [b, Lp] must start with BOS. Cross-attention memory is the
     full fused sequence with the fused CLS additionally prepended as the
-    first slot ("full" mode), or the CLS row alone ("cls" mode).
+    first slot.
     Returns next-token logits for every prefix position: [b, Lp, vocab].
     """
     P = mp.params
@@ -421,14 +430,10 @@ def decode_answer(
     if (prefix_ids[:, 0] != BOS).any():
         raise ContractError("answer prefix must start with BOS")
     b, Lp = prefix_ids.shape
-    if cfg.answer_cross_mode == "cls":
-        memory = fused_context[:, 0:1, :]
-        mem_bias = None
-    else:
-        memory = concat([fused_context[:, 0:1, :], fused_context], axis=1)
-        mem_bias = np.concatenate(
-            [np.zeros((b, 1)), np.where(text_ids == 0, NEG_BIAS, 0.0)], axis=1
-        )[:, None, None, :]
+    memory = concat([fused_context[:, 0:1, :], fused_context], axis=1)
+    mem_bias = np.concatenate(
+        [np.zeros((b, 1)), np.where(text_ids == 0, NEG_BIAS, 0.0)], axis=1
+    )[:, None, None, :]
     causal = np.where(np.tril(np.ones((Lp, Lp))) > 0, 0.0, NEG_BIAS)[None, None]
     x = P["tok_embed"][prefix_ids] + P["ans_pos"][:Lp]
     out = transformer_stack(

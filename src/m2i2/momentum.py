@@ -42,7 +42,7 @@ class FeatureQueue:
         return self.img_slots[order].copy(), self.txt_slots[order].copy()
 
 
-def _check_unit(v: np.ndarray, what: str) -> None:
+def check_unit(v: np.ndarray, what: str) -> None:
     if v.size and np.abs(np.linalg.norm(v, axis=-1) - 1.0).max() > 1e-6:
         raise ContractError(f"{what} vectors must be unit-norm")
 
@@ -56,8 +56,8 @@ def enqueue(queue: FeatureQueue, img_batch: np.ndarray, txt_batch: np.ndarray) -
         raise ContractError("image and text batches must pair 1:1")
     if b > queue.capacity:
         raise ContractError(f"batch {b} exceeds queue capacity {queue.capacity}")
-    _check_unit(img_batch, "image projection")
-    _check_unit(txt_batch, "text projection")
+    check_unit(img_batch, "image projection")
+    check_unit(txt_batch, "text projection")
     idx = (queue.write_ptr + np.arange(b)) % queue.capacity
     queue.img_slots[idx] = img_batch
     queue.txt_slots[idx] = txt_batch

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .momentum import FeatureQueue
+from .momentum import FeatureQueue, check_unit
 from .tensor import Tensor, concat, cross_entropy, softmax
 
 OBJECTIVES = ("mim", "mlm", "itm", "itc")
@@ -81,12 +81,6 @@ def pair_negatives(
     return out
 
 
-def _check_unit(v: Tensor, what: str) -> None:
-    norms = np.linalg.norm(v.data, axis=-1)
-    if v.data.size and np.abs(norms - 1.0).max() > 1e-6:
-        raise ContractError(f"{what} projections must be unit-norm")
-
-
 def _info_nce(anchor: Tensor, positive: Tensor, queue_negs: np.ndarray, temp: Tensor) -> Tensor:
     b = anchor.shape[0]
     pos = (anchor * positive).sum(axis=-1, keepdims=True)  # [b,1]
@@ -112,7 +106,7 @@ def itc_loss(
     reach only the online projections (momentum inputs are off-tape).
     """
     for v, what in ((img_proj, "image"), (txt_proj, "text"), (img_proj_m, "momentum image"), (txt_proj_m, "momentum text")):
-        _check_unit(v, what)
+        check_unit(v.data, f"{what} projection")
     img_q, txt_q = queue.negatives()
     i2t = _info_nce(img_proj, txt_proj_m.detach(), txt_q, temperature)
     t2i = _info_nce(txt_proj, img_proj_m.detach(), img_q, temperature)

@@ -60,7 +60,7 @@ class MaskedText:
     degenerate: bool = False  # no maskable position existed
 
 
-def build_vocab(corpus, max_size: int, min_freq: int = 1) -> Vocab:
+def build_vocab(corpus, max_size: int) -> Vocab:
     """Learn subword pieces by greedy most-frequent adjacent merges."""
     if max_size < len(RESERVED):
         raise ConfigError(f"max_size must be >= {len(RESERVED)}")
@@ -90,8 +90,6 @@ def build_vocab(corpus, max_size: int, min_freq: int = 1) -> Vocab:
         # most frequent pair; lexicographically smallest among ties
         top = max(pair_freq.values())
         best = min(p for p, n in pair_freq.items() if n == top)
-        if top < min_freq:
-            break
         merged = merge_sym(*best)
         pieces.setdefault(merged)
         new_words: dict[tuple[str, ...], int] = {}
@@ -133,10 +131,7 @@ def tokenize(text: str, vocab: Vocab, max_len: int) -> np.ndarray:
     """Encode to [max_len] ids: CLS + greedy longest-match pieces + PAD tail."""
     if max_len < 2:
         raise ConfigError("max_len must be >= 2")
-    ids = [CLS]
-    for word in normalize(text).split():
-        ids.extend(_encode_word(word, vocab))
-    ids = ids[:max_len]
+    ids = ([CLS] + encode_plain(text, vocab))[:max_len]
     ids += [PAD] * (max_len - len(ids))
     return np.array(ids, dtype=np.int64)
 

@@ -24,6 +24,7 @@ from .model import (
     ModelParams,
     decode_answer,
     decode_image,
+    encode_full_images,
     encode_image,
     encode_text,
     fuse,
@@ -48,7 +49,7 @@ from .text import BOS, EOS, PAD, Vocab, build_vocab, encode_plain, extend_vocab,
 from .vision import Image, augment, load_image, mask_patches, patchify
 
 CKPT_MAGIC = b"M2I2"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 TEMP_MIN, TEMP_MAX = 0.01, 0.5
 
 
@@ -397,11 +398,6 @@ def pretrain_losses(
             mp.params["itc.log_temp"].exp(),
         )
         mom_projs = (img_proj_m.data.copy(), txt_proj_m.data.copy())
-
-    weights = {"mim": cfg.weight_mim, "mlm": cfg.weight_mlm, "itm": cfg.weight_itm, "itc": cfg.weight_itc}
-    for k, w in weights.items():
-        if w != 1.0:
-            parts[k] = parts[k] * w
     return parts, mom_projs
 
 
@@ -463,6 +459,9 @@ def _train(
                 batch = [[seq[i] for i in batch_idx] for seq in (samples, images, token_ids)]
                 loss, fields, after_step = forward(mp, queue, vocab, *batch, step)
                 loss.backward()
+                # frees this step's tape now rather than when the next step's
+                # forward returns, so two steps' graphs are never alive at once
+                del loss
                 clip_global_norm(mp, cfg.grad_clip)
                 adamw_step(mp, adam, lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.adam_eps)
                 after_step()
@@ -537,12 +536,7 @@ def vqa_forward_loss(
     vocab: Vocab,
 ) -> Tensor:
     """Teacher-forced conditional LM loss for a VQA batch (full images)."""
-    vis, pos = [], []
-    for img in images:
-        p = patchify(augment(img, cfg.image_size, train=False), cfg.patch_size)
-        vis.append(p.patches)
-        pos.append(np.arange(p.n_patches))
-    img_feats = encode_image(mp, np.stack(vis), np.stack(pos))
+    img_feats = encode_full_images(mp, images)
     txt_feats = encode_text(mp, question_ids)
     fused = fuse(mp, txt_feats, img_feats, question_ids)
     prefixes, targets, lens = [], [], []

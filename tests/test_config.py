@@ -41,12 +41,11 @@ def test_validate_itm_needs_pairs():
     [
         dict(heads=3),
         dict(image_size=40),
-        dict(answer_cross_mode="middle"),
         dict(negative_strategy="hardest"),
         dict(negative_strategy="hardest", enable_itm=False),
         dict(phase="finetune", batch_size=1, enable_itm=False),
     ],
-    ids=["heads", "patch", "cross-mode", "negatives", "negatives-no-itm", "batch-no-itm"],
+    ids=["heads", "patch", "negatives", "negatives-no-itm", "batch-no-itm"],
 )
 def test_validate_rejects_what_training_cannot_run(overrides):
     with pytest.raises(ConfigError):

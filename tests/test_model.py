@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from m2i2.errors import ContractError
+from m2i2.errors import ConfigError, ContractError
 from m2i2.gradcheck import OP_TOL, fd_grad, rel_err
 from m2i2.model import (
     ModelConfig,
@@ -65,7 +65,7 @@ def test_phase_parameter_sets():
 
 
 def test_unknown_phase_rejected():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         tiny_cfg(phase="transfer")
 
 
@@ -247,12 +247,6 @@ class TestDecodeAnswer:
         perturbed = Tensor(fused.data + RNG.normal(0, 0.1, size=fused.shape))
         b = decode_answer(ft_mp, perturbed, ids, prefix).data
         assert np.abs(a - b).max() > 0.0
-
-    def test_cls_mode(self):
-        mp = ModelParams(tiny_cfg(answer_cross_mode="cls", phase="finetune"), np.random.default_rng(0))
-        fused, ids = TestDecodeAnswer()._fused(mp)
-        out = decode_answer(mp, fused, ids, np.array([[BOS, 8]]))
-        assert out.shape == (1, 2, 32)
 
 
 class TestProjections:

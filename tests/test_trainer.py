@@ -1,8 +1,8 @@
-import dataclasses
 import json
 import math
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -186,11 +186,13 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_checkpoint_version_1_rejected(tmp_path):
+    # version 2 files also carry config keys that no longer exist
     *_rest, path = _ckpt_fixture(tmp_path)
     raw = path.read_bytes()
-    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
-    with pytest.raises(CheckpointError, match="version 1"):
-        load_checkpoint(path)
+    for version in (1, 2):
+        path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+        with pytest.raises(CheckpointError, match=f"version {version}"):
+            load_checkpoint(path)
 
 
 def _first_array_offsets(raw: bytes) -> tuple[int, int]:
@@ -423,7 +425,7 @@ def test_bad_input_fails_before_any_output(caption_data, tmp_path, bad):
     root, samples = caption_data
     cfg = tiny_cfg()
     if bad == "heads":
-        cfg = dataclasses.replace(cfg, heads=3)
+        cfg.heads = 3  # construction already refuses it
     else:
         samples = samples[:1]
     with pytest.raises(ConfigError):
@@ -456,6 +458,29 @@ def test_resume_rewinds_log_to_checkpoint(caption_data, tmp_path):
     full = strip_wall(read_metrics(tmp_path / "full" / "metrics.jsonl"))
     assert strip_wall(read_metrics(log)) == full
     assert [r["step"] for r in full] == [1, 2, 3, 4, 5, 6]
+
+
+def test_each_step_frees_the_previous_steps_tape(caption_data, vqa_data, tmp_path, monkeypatch):
+    def watched(fn, pick):
+        seen = []
+
+        def wrapper(*args, **kwargs):
+            assert not seen or seen[-1]() is None, "the previous step's tape is still alive"
+            out = fn(*args, **kwargs)
+            seen.append(weakref.ref(pick(out)))
+            return out
+
+        return wrapper, seen
+
+    pre, pre_seen = watched(trainer.pretrain_losses, lambda out: out[0]["mlm"])
+    ft, ft_seen = watched(trainer.vqa_forward_loss, lambda loss: loss)
+    monkeypatch.setattr(trainer, "pretrain_losses", pre)
+    monkeypatch.setattr(trainer, "vqa_forward_loss", ft)
+    croot, csamples = caption_data
+    vroot, vsamples = vqa_data
+    pretrain(tiny_cfg(seed=2, epochs=1), csamples, croot, tmp_path / "pre")
+    finetune(tiny_cfg(seed=2, epochs=1, phase="finetune"), vsamples, vroot, tmp_path / "ft")
+    assert len(pre_seen) == 2 and len(ft_seen) == 2
 
 
 def test_metrics_log_fields(caption_data, tmp_path):

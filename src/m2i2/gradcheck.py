@@ -58,9 +58,11 @@ def op_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
         return rng.uniform(-2, 2, size=s)
 
     w34, w45, g5, b5, w35 = r(3, 4), r(4, 5), r(5), r(5), r(3, 5)
+    x234, w235 = r(2, 3, 4), r(2, 3, 5)
     tgt = np.array([1, 0, 3])
     cases = [
         ("matmul", lambda t: ((t @ Tensor(w45)) * Tensor(w35)).sum(), r(3, 4)),
+        ("matmul_weight", lambda t: ((Tensor(x234) @ t) * Tensor(w235)).sum(), r(4, 5)),
         ("add_mul_div", lambda t: ((t * Tensor(w34) + t) / (Tensor(w34) * Tensor(w34) + 1.5)).sum(), r(3, 4)),
         ("exp_log", lambda t: ((t * 0.3).exp() + (t * t + 1.0).log()).sum(), r(3, 4)),
         ("tanh", lambda t: t.tanh().sum(), r(3, 4)),

@@ -173,7 +173,8 @@ class Tensor:
     def gelu(self) -> "Tensor":
         """GELU, tanh approximation (the same formula the gradient checks use)."""
         x = self.data
-        inner = GELU_C * (x + 0.044715 * x**3)
+        # x * x * x, not x**3: numpy has no fast path for that exponent
+        inner = GELU_C * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         out_data = 0.5 * x * (1.0 + t)
 
@@ -258,8 +259,16 @@ class Tensor:
         out_data = np.matmul(self.data, other.data)
 
         def bwd(g, a=self, b=other):
-            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+            if not b.requires_grad:
+                return
+            if b.ndim == 2 and a.ndim > 2:
+                # a weight under a batch of rows: one GEMM over all of them,
+                # not a [..., d, k] stack summed down afterwards
+                _accum(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            else:
+                _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
         return Tensor._make(out_data, (self, other), bwd)
 

@@ -362,31 +362,35 @@ def pretrain_losses(
     parts: dict[str, Tensor] = {k: Tensor(0.0) for k in ("mim", "mlm", "itm", "itc")}
     mom_projs = None
 
-    fused = None
-    if cfg.enable_mlm or cfg.enable_itm:
-        fused = fuse(mp, txt_feats, img_feats, batch.ids)
-
     if cfg.enable_mim:
         pred = decode_image(mp, img_feats, batch.positions, batch.mask_positions)
         parts["mim"] = mim_loss(pred, batch.mask_targets)
-    if cfg.enable_mlm:
-        logits = mlm_logits(mp, fused, batch.mlm_batch_idx, batch.mlm_positions)
-        parts["mlm"] = mlm_loss(logits, batch.mlm_labels)
 
     img_proj = txt_proj = None
     if cfg.enable_itc or cfg.negative_strategy == "hard":
         img_proj = project_itc(mp, img_feats[:, 0, :], "img")
         txt_proj = project_itc(mp, txt_feats[:, 0, :], "txt")
 
-    if cfg.enable_itm:
-        sims = None
-        if cfg.negative_strategy == "hard":
-            sims = img_proj.data @ txt_proj.data.T
-        j = pair_negatives(b, rng, cfg.negative_strategy, sims)
-        fused_neg = fuse(mp, txt_feats[j], img_feats, batch.ids[j])
-        joint = concat([fused[:, 0, :], fused_neg[:, 0, :]], axis=0)
-        labels = np.concatenate([np.ones(b, dtype=np.int64), np.zeros(b, dtype=np.int64)])
-        parts["itm"] = itm_loss(itm_logits(mp, joint), labels)
+    if cfg.enable_mlm or cfg.enable_itm:
+        txt_in, img_in, ids_in = txt_feats, img_feats, batch.ids
+        if cfg.enable_itm:
+            sims = None
+            if cfg.negative_strategy == "hard":
+                sims = img_proj.data @ txt_proj.data.T
+            j = pair_negatives(b, rng, cfg.negative_strategy, sims)
+            # rows [:b] pair each image with its own caption and rows [b:]
+            # with a mismatched one, so both go through one fusion pass
+            rows = np.concatenate([np.arange(b), j])
+            txt_in, ids_in = txt_feats[rows], batch.ids[rows]
+            img_in = concat([img_feats, img_feats], axis=0)
+        fused = fuse(mp, txt_in, img_in, ids_in)
+        if cfg.enable_mlm:
+            # the masked positions all lie in the first b rows
+            logits = mlm_logits(mp, fused, batch.mlm_batch_idx, batch.mlm_positions)
+            parts["mlm"] = mlm_loss(logits, batch.mlm_labels)
+        if cfg.enable_itm:
+            labels = np.concatenate([np.ones(b, dtype=np.int64), np.zeros(b, dtype=np.int64)])
+            parts["itm"] = itm_loss(itm_logits(mp, fused[:, 0, :]), labels)
 
     if cfg.enable_itc:
         img_feats_m = encode_image(mp, batch.visible, batch.positions, use_momentum=True)
@@ -462,12 +466,14 @@ def _train(
                 # frees this step's tape now rather than when the next step's
                 # forward returns, so two steps' graphs are never alive at once
                 del loss
-                clip_global_norm(mp, cfg.grad_clip)
+                grad_norm = clip_global_norm(mp, cfg.grad_clip)
                 adamw_step(mp, adam, lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.adam_eps)
                 after_step()
                 step += 1
                 wall_ms = round((time.monotonic() - t0) * 1e3, 3)
-                record = {"step": step, "epoch": epoch, "lr": lr, **fields, "wall_ms": wall_ms}
+                record = {
+                    "step": step, "epoch": epoch, "lr": lr, **fields, "grad_norm": grad_norm, "wall_ms": wall_ms,
+                }
                 log.write(json.dumps(record, sort_keys=True) + "\n")
                 log.flush()
             save_checkpoint(ckpt_path, cfg, mp, adam, queue, vocab, step, epoch)

@@ -52,6 +52,22 @@ class TestMatmul:
         a = rand(5, 2, 3)
         assert check_grad(lambda t: ((Tensor(a) @ t) ** 2).sum(), rand(3, 4)) < OP_TOL
 
+    def test_weight_grad_is_the_per_batch_sum(self):
+        a = Tensor(rand(5, 2, 3), requires_grad=True)
+        w = Tensor(rand(3, 4), requires_grad=True)
+        g = rand(5, 2, 4)
+        ((a @ w) * Tensor(g)).sum().backward()
+        want = sum(a.data[i].T @ g[i] for i in range(5))
+        np.testing.assert_allclose(w.grad, want, rtol=1e-12)
+        np.testing.assert_allclose(a.grad, g @ w.data.T, rtol=1e-12)
+        # a side that needs no gradient gets none, whichever side it is on
+        for const_left in (True, False):
+            left = Tensor(a.data, requires_grad=not const_left)
+            right = Tensor(w.data, requires_grad=const_left)
+            (left @ right).sum().backward()
+            const, live = (left, right) if const_left else (right, left)
+            assert const.grad is None and live.grad is not None
+
 
 class TestSoftmax:
     def test_symmetry(self):

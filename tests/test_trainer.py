@@ -12,8 +12,10 @@ from m2i2.config import preset
 from m2i2.errors import CheckpointError, ConfigError
 from m2i2.model import ModelParams
 from m2i2.momentum import FeatureQueue, enqueue
+from m2i2.objectives import itm_loss, mlm_loss, pair_negatives
 from m2i2.synth import generate_captions, generate_vqa
-from m2i2.text import Vocab, RESERVED
+from m2i2.tensor import concat
+from m2i2.text import RESERVED, Vocab, build_vocab, tokenize
 from m2i2.trainer import (
     AdamState,
     adamw_step,
@@ -27,6 +29,7 @@ from m2i2.trainer import (
     restore_model,
     save_checkpoint,
 )
+from m2i2.vision import load_image
 
 
 def tiny_cfg(**kw):
@@ -488,4 +491,83 @@ def test_metrics_log_fields(caption_data, tmp_path):
     pretrain(tiny_cfg(seed=1, epochs=1), samples, root, tmp_path / "run")
     recs = read_metrics(tmp_path / "run" / "metrics.jsonl")
     for r in recs:
-        assert set(r) == {"step", "epoch", "lr", "mim", "mlm", "itm", "itc", "total", "wall_ms"}
+        assert set(r) == {"step", "epoch", "lr", "mim", "mlm", "itm", "itc", "total", "grad_norm", "wall_ms"}
+
+
+def test_grad_norm_is_logged_before_clipping(caption_data, vqa_data, tmp_path, monkeypatch):
+    norms = []
+
+    def clip(mp, max_norm):
+        norms.append(clip_global_norm(mp, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(trainer, "clip_global_norm", clip)
+    croot, csamples = caption_data
+    vroot, vsamples = vqa_data
+    pretrain(tiny_cfg(seed=2, epochs=1, grad_clip=1e-3), csamples, croot, tmp_path / "pre")
+    finetune(tiny_cfg(seed=2, epochs=1, phase="finetune", grad_clip=1e-3), vsamples, vroot, tmp_path / "ft")
+    logged = [r["grad_norm"] for run in ("pre", "ft") for r in read_metrics(tmp_path / run / "metrics.jsonl")]
+    assert logged == norms and all(n > 1e-3 for n in norms)
+
+
+def _two_pass_mlm_itm(mp, cfg, batch, rng):
+    """MLM and ITM as computed before the fusion passes were merged: the true
+    pairs and the mismatched pairs each through their own fuse call."""
+    b = batch.visible.shape[0]
+    img_feats = model.encode_image(mp, batch.visible, batch.positions)
+    txt_feats = model.encode_text(mp, batch.ids)
+    fused = model.fuse(mp, txt_feats, img_feats, batch.ids)
+    mlm = mlm_loss(model.mlm_logits(mp, fused, batch.mlm_batch_idx, batch.mlm_positions), batch.mlm_labels)
+    sims = None
+    if cfg.negative_strategy == "hard":
+        img_proj = model.project_itc(mp, img_feats[:, 0, :], "img")
+        txt_proj = model.project_itc(mp, txt_feats[:, 0, :], "txt")
+        sims = img_proj.data @ txt_proj.data.T
+    j = pair_negatives(b, rng, cfg.negative_strategy, sims)
+    fused_neg = model.fuse(mp, txt_feats[j], img_feats, batch.ids[j])
+    joint = concat([fused[:, 0, :], fused_neg[:, 0, :]], axis=0)
+    labels = np.concatenate([np.ones(b, dtype=np.int64), np.zeros(b, dtype=np.int64)])
+    return mlm, itm_loss(model.itm_logits(mp, joint), labels)
+
+
+@pytest.mark.parametrize("strategy", ["uniform", "hard"])
+def test_one_fusion_pass_matches_two(caption_data, tmp_path, monkeypatch, strategy):
+    root, samples = caption_data
+    cfg = tiny_cfg(seed=3, negative_strategy=strategy)
+    mp = tiny_params(cfg, seed=3)
+    vocab = build_vocab([s.caption for s in samples], cfg.vocab_size)
+    images = [load_image(os.path.join(root, s.image), channels=cfg.channels) for s in samples[:4]]
+    token_ids = [tokenize(s.caption, vocab, cfg.max_text_len) for s in samples[:4]]
+    batch = trainer.make_pretrain_batch(images, token_ids, cfg, vocab, np.random.default_rng(1))
+    queue = FeatureQueue(cfg.queue_capacity, cfg.proj_dim)
+
+    ref_rng = np.random.default_rng(2)
+    ref_mlm, ref_itm = _two_pass_mlm_itm(mp, cfg, batch, ref_rng)
+    (ref_mlm + ref_itm).backward()
+    ref_grads = {n: p.grad for n, p in mp.params.items()}
+
+    calls = []
+
+    def counted_fuse(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return model.fuse(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "fuse", counted_fuse)
+    mp.zero_grads()
+    rng = np.random.default_rng(2)
+    parts, _ = trainer.pretrain_losses(mp, cfg, batch, queue, rng)
+    assert calls == [8]  # one pass over the 4 true and 4 mismatched pairs
+    assert rng.random() == ref_rng.random()  # the same draws were taken
+    np.testing.assert_allclose(parts["mlm"].data, ref_mlm.data, rtol=1e-12)
+    np.testing.assert_allclose(parts["itm"].data, ref_itm.data, rtol=1e-12)
+    (parts["mlm"] + parts["itm"]).backward()
+    for name, p in mp.params.items():
+        if ref_grads[name] is None:
+            assert p.grad is None, name
+        else:
+            np.testing.assert_allclose(p.grad, ref_grads[name], rtol=1e-9, atol=1e-14, err_msg=name)
+
+    # a whole run fuses once per step
+    calls.clear()
+    pretrain(cfg, samples, root, tmp_path / "run")
+    assert len(calls) == len(read_metrics(tmp_path / "run" / "metrics.jsonl"))

@@ -261,13 +261,7 @@ class Tensor:
         def bwd(g, a=self, b=other):
             if a.requires_grad:
                 _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-            if not b.requires_grad:
-                return
-            if b.ndim == 2 and a.ndim > 2:
-                # a weight under a batch of rows: one GEMM over all of them,
-                # not a [..., d, k] stack summed down afterwards
-                _accum(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-            else:
+            if b.requires_grad:
                 _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
         return Tensor._make(out_data, (self, other), bwd)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import m2i2.tensor as tensor_mod
 from m2i2.errors import ContractError, NumericsError, ShapeError
 from m2i2.tensor import (
     Tensor,
@@ -51,22 +52,31 @@ class TestMatmul:
         assert check_grad(lambda a: ((a @ Tensor(b)) ** 2).sum(), rand(5, 2, 3)) < OP_TOL
         a = rand(5, 2, 3)
         assert check_grad(lambda t: ((Tensor(a) @ t) ** 2).sum(), rand(3, 4)) < OP_TOL
-
-    def test_weight_grad_is_the_per_batch_sum(self):
-        a = Tensor(rand(5, 2, 3), requires_grad=True)
         w = Tensor(rand(3, 4), requires_grad=True)
         g = rand(5, 2, 4)
-        ((a @ w) * Tensor(g)).sum().backward()
-        want = sum(a.data[i].T @ g[i] for i in range(5))
-        np.testing.assert_allclose(w.grad, want, rtol=1e-12)
-        np.testing.assert_allclose(a.grad, g @ w.data.T, rtol=1e-12)
-        # a side that needs no gradient gets none, whichever side it is on
-        for const_left in (True, False):
-            left = Tensor(a.data, requires_grad=not const_left)
-            right = Tensor(w.data, requires_grad=const_left)
-            (left @ right).sum().backward()
-            const, live = (left, right) if const_left else (right, left)
-            assert const.grad is None and live.grad is not None
+        ((Tensor(a) @ w) * Tensor(g)).sum().backward()
+        np.testing.assert_allclose(w.grad, sum(a[i].T @ g[i] for i in range(5)), rtol=1e-12)
+
+    @pytest.mark.parametrize("rhs_shape", [(5, 3, 4), (3, 4)], ids=["batched", "weight"])
+    @pytest.mark.parametrize("const_left", [True, False], ids=["const-left", "const-right"])
+    def test_backward_forms_only_the_live_sides_product(self, monkeypatch, rhs_shape, const_left):
+        left = Tensor(rand(5, 2, 3), requires_grad=not const_left)
+        right = Tensor(rand(*rhs_shape), requires_grad=const_left)
+        loss = (left @ right).sum()
+        products = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, x, y):
+                products.append((x, y))
+                return np.matmul(x, y)
+
+        monkeypatch.setattr(tensor_mod, "np", CountingNumpy())
+        loss.backward()
+        const, live = (left, right) if const_left else (right, left)
+        assert len(products) == 1 and const.grad is None and live.grad is not None
 
 
 class TestSoftmax:

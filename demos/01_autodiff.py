@@ -4,7 +4,7 @@ and confirm the gradients against central finite differences.
 
 import numpy as np
 
-from m2i2.tensor import Tensor, layer_norm, softmax
+from m2i2.tensor import Tensor, cross_entropy, layer_norm
 
 rng = np.random.default_rng(0)
 
@@ -14,10 +14,16 @@ w1 = Tensor(rng.normal(size=(8, 16)) * 0.1, requires_grad=True)
 w2 = Tensor(rng.normal(size=(16, 3)) * 0.1, requires_grad=True)
 g = Tensor(np.ones(16), requires_grad=True)
 b = Tensor(np.zeros(16), requires_grad=True)
+targets = np.array([0, 1, 2, 0])
 
-h = layer_norm((x @ w1).gelu(), g, b)
-probs = softmax(h @ w2, axis=-1)
-loss = -(probs[np.arange(4), np.array([0, 1, 2, 0])]).log().mean()
+
+def forward() -> Tensor:
+    h = layer_norm((x @ w1).gelu(), g, b)
+    # mean over rows of -log softmax(logits)[target], fused for stability
+    return cross_entropy(h @ w2, targets)
+
+
+loss = forward()
 loss.backward()
 print(f"loss = {float(loss.data):.6f}")
 print(f"dloss/dw2 norm = {np.linalg.norm(w2.grad):.6f}")
@@ -30,9 +36,7 @@ for idx in [(0, 0), (3, 7), (7, 15)]:
 
     def f(v):
         w1.data[idx] = v
-        h = layer_norm((x @ w1).gelu(), g, b)
-        probs = softmax(h @ w2, axis=-1)
-        return float(-(probs[np.arange(4), np.array([0, 1, 2, 0])]).log().mean().data)
+        return float(forward().data)
 
     num = (f(orig + eps) - f(orig - eps)) / (2 * eps)
     w1.data[idx] = orig

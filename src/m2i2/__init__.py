@@ -26,7 +26,7 @@ from .objectives import (
     mlm_loss,
 )
 from .synth import generate_captions, generate_vqa, load_captions, load_vqa
-from .tensor import Tensor, cross_entropy, layer_norm, log_softmax, softmax
+from .tensor import Tensor, cross_entropy, layer_norm, softmax
 from .text import Vocab, build_vocab, detokenize, extend_vocab, mask_tokens, tokenize
 from .trainer import finetune, load_checkpoint, pretrain, restore_model
 from .vision import Image, load_image, mask_patches, patchify, resize_bilinear, unpatchify, write_image
@@ -64,7 +64,6 @@ __all__ = [
     "Tensor",
     "cross_entropy",
     "layer_norm",
-    "log_softmax",
     "softmax",
     "Vocab",
     "build_vocab",

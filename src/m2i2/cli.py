@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .config import PRESETS, TrainConfig, preset
 from .errors import ConfigError
 from . import gradcheck as gradcheck_mod
@@ -33,17 +31,15 @@ def _parse_value(raw: str):
 
 
 def resolve_config(args) -> TrainConfig:
-    base = TrainConfig().to_dict()
-    if args.preset:
-        base.update(PRESETS[args.preset])
+    overrides = {}
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            base.update(json.loads(f.read()))
+            overrides.update(json.loads(f.read()))
     for kv in args.set or []:
         if "=" not in kv:
             raise ConfigError(f"override must be key=value, got {kv!r}")
         k, v = kv.split("=", 1)
-        base[k] = _parse_value(v)
+        overrides[k] = _parse_value(v)
     for flag, key in (
         ("no_mim", "enable_mim"),
         ("no_mlm", "enable_mlm"),
@@ -51,11 +47,11 @@ def resolve_config(args) -> TrainConfig:
         ("no_itc", "enable_itc"),
     ):
         if getattr(args, flag, False):
-            base[key] = False
+            overrides[key] = False
     if "M2I2_SEED" in os.environ:
-        base["seed"] = int(os.environ["M2I2_SEED"])
-    base["phase"] = args.command
-    return TrainConfig.from_dict(base)
+        overrides["seed"] = int(os.environ["M2I2_SEED"])
+    overrides["phase"] = args.command
+    return preset(args.preset or "desk", **overrides)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

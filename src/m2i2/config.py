@@ -142,9 +142,8 @@ PRESETS = {
 }
 
 
-def preset(name: str, **overrides) -> TrainConfig:
+def preset(name: str, /, **overrides) -> TrainConfig:
+    """The named preset over the defaults, then ``overrides`` over that."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    d = dict(PRESETS[name])
-    d.update(overrides)
-    return TrainConfig.from_dict({**TrainConfig().to_dict(), **d})
+    return TrainConfig.from_dict({**PRESETS[name], **overrides})

@@ -16,7 +16,7 @@ from .config import TrainConfig
 from .errors import ConfigError
 from .model import ModelParams, decode_answer, encode_full_images, encode_text, fuse
 from .synth import VqaSample
-from .tensor import log_softmax
+from .tensor import cross_entropy
 from .text import BOS, EOS, Vocab, detokenize, tokenize
 from .vision import Image, load_image, write_image
 
@@ -166,9 +166,10 @@ def attention_map(
     attn = capture[layer]  # [1, heads, L, 1+N]
     if grad_weighted:
         logits = decode_answer(mp, fused, ids, np.array([[BOS]]))
-        first = int(np.argmax(logits.data[0, -1]))
+        # the first token generate_answer emits, so from the vocab's ids only
+        first = int(np.argmax(logits.data[0, -1, : len(vocab)]))
         mp.zero_grads()
-        log_softmax(logits[0, -1])[first].backward()
+        (-cross_entropy(logits[0, -1:], [first])).backward()
         g = attn.grad if attn.grad is not None else np.zeros(attn.shape)
         weighted = attn.data * np.maximum(g, 0.0)
     else:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .tensor import Tensor, concat, gather_rows, layer_norm, softmax
+from .tensor import Tensor, concat, layer_norm, softmax
 from .vision import Image, augment, patchify, resize_bilinear
 
 NEG_BIAS = -1e9
@@ -319,7 +319,7 @@ def encode_full_images(mp: ModelParams, images: list[Image]) -> Tensor:
     cfg = mp.cfg
     vis, pos = [], []
     for img in images:
-        p = patchify(augment(img, cfg.image_size, train=False), cfg.patch_size)
+        p = patchify(augment(img, cfg.image_size), cfg.patch_size)
         vis.append(p.patches)
         pos.append(np.arange(p.n_patches))
     return encode_image(mp, np.stack(vis), np.stack(pos))
@@ -349,15 +349,16 @@ def decode_image(
         if np.intersect1d(visible_positions[i], mask_positions[i]).size:
             raise ContractError("mask_positions overlap visible positions")
 
-    mask_row = (P["img_mask_tok"] + Tensor(np.zeros((b, 1, cfg.dim)))).reshape(b, 1, cfg.dim)
+    mask_row = P["img_mask_tok"].broadcast_to((b, 1, cfg.dim))
     table = concat([encoder_features, mask_row], axis=1)  # [b, 2+n_vis, d]
     idx = np.full((b, cfg.n_patches), 1 + n_vis, dtype=np.int64)
     rows = np.repeat(np.arange(b), n_vis)
     idx[rows, visible_positions.ravel()] = np.tile(1 + np.arange(n_vis), b)
-    seq = concat([table[:, 0:1, :], gather_rows(table, idx)], axis=1)  # [b, 1+N, d]
+    batch = np.arange(b)[:, None]
+    seq = concat([table[:, 0:1, :], table[batch, idx]], axis=1)  # [b, 1+N, d]
     seq = seq + P["img_dec_pos"]
     out = transformer_stack(seq, P, "img_dec", cfg.depth_img_dec, cfg.heads)
-    masked_rows = gather_rows(out, 1 + mask_positions)  # [b, k, d]
+    masked_rows = out[batch, 1 + mask_positions]  # [b, k, d]
     flat = masked_rows.reshape(b * k, cfg.dim)
     return linear(flat, P["mim.w"], P["mim.b"]).reshape(b, k, cfg.patch_dim)
 

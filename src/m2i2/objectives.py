@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .momentum import FeatureQueue, check_unit
-from .tensor import Tensor, concat, cross_entropy, softmax
+from .tensor import Tensor, concat, cross_entropy
 
 OBJECTIVES = ("mim", "mlm", "itm", "itc")
 

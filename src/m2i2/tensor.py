@@ -99,9 +99,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-Tensor._lift(other))
 
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor._lift(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         out_data = self.data * other.data
@@ -124,9 +121,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), bwd)
 
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor._lift(other) / self
-
     def __pow__(self, p: float) -> "Tensor":
         out_data = self.data**p
 
@@ -143,32 +137,8 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), bwd)
 
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def bwd(g, a=self):
-            _accum(a, g / a.data)
-
-        return Tensor._make(out_data, (self,), bwd)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def bwd(g, a=self, o=out_data):
-            _accum(a, g * (1.0 - o * o))
-
-        return Tensor._make(out_data, (self,), bwd)
-
     def sqrt(self) -> "Tensor":
         return self**0.5
-
-    def relu(self) -> "Tensor":
-        out_data = np.maximum(self.data, 0.0)
-
-        def bwd(g, a=self):
-            _accum(a, g * (a.data > 0.0))
-
-        return Tensor._make(out_data, (self,), bwd)
 
     def gelu(self) -> "Tensor":
         """GELU, tanh approximation (the same formula the gradient checks use)."""
@@ -343,18 +313,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(p, (x,), bwd)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out_data = z - lse
-    p = np.exp(out_data)
-
-    def bwd(g, a=x, p=p):
-        _accum(a, g - p * g.sum(axis=axis, keepdims=True))
-
-    return Tensor._make(out_data, (x,), bwd)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
     d = x.shape[-1]
@@ -405,21 +363,3 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         _accum(a, g * d / b)
 
     return Tensor._make(np.asarray(out_data), (logits,), bwd)
-
-
-def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
-    """Batched row gather: table [b, M, d], idx [b, N] -> [b, N, d]."""
-    idx = np.asarray(idx, dtype=np.int64)
-    b = table.shape[0]
-    out_data = table.data[np.arange(b)[:, None], idx]
-
-    def bwd(g, a=table):
-        buf = np.zeros(a.shape)
-        np.add.at(buf, (np.arange(b)[:, None], idx), g)
-        _accum(a, buf)
-
-    return Tensor._make(out_data, (table,), bwd)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)

@@ -44,7 +44,7 @@ from .objectives import (
     pair_negatives,
 )
 from .synth import CaptionSample, VqaSample
-from .tensor import Tensor, concat, cross_entropy
+from .tensor import Tensor, concat
 from .text import BOS, EOS, PAD, Vocab, build_vocab, encode_plain, extend_vocab, mask_tokens, tokenize
 from .vision import Image, augment, load_image, mask_patches, patchify
 

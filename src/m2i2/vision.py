@@ -113,12 +113,11 @@ def augment(
     img: Image,
     target: int,
     rng: np.random.Generator | None = None,
-    train: bool = True,
 ) -> Image:
     """Random crop to target x target, flip, brightness jitter (train mode).
 
-    Eval mode (train=False or rng=None) center-crops only. Images smaller
-    than the target are bilinearly resized up first.
+    Eval mode (no rng) center-crops only. Images smaller than the target are
+    bilinearly resized up first.
     """
     px = img.pixels
     if px.shape[0] < target or px.shape[1] < target:
@@ -128,7 +127,7 @@ def augment(
             max(target, int(round(px.shape[0] * scale))),
             max(target, int(round(px.shape[1] * scale))),
         )
-    if train and rng is not None:
+    if rng is not None:
         y = int(rng.integers(0, px.shape[0] - target + 1))
         x = int(rng.integers(0, px.shape[1] - target + 1))
         out = px[y : y + target, x : x + target]

@@ -179,7 +179,7 @@ def test_criterion_03_pretraining_overfit(overfit_run):
 
     top1, mp, cfg, vocab, imgs, toks = _mlm_top1(ckpt_path, samples, root)
 
-    ps = [patchify(augment(im, cfg.image_size, train=False), cfg.patch_size) for im in imgs]
+    ps = [patchify(augment(im, cfg.image_size), cfg.patch_size) for im in imgs]
     vis = np.stack([p.patches for p in ps])
     pos = np.stack([np.arange(p.n_patches) for p in ps])
     ids = np.stack(toks)

@@ -13,9 +13,10 @@ from m2i2.evaluation import (
     write_report,
 )
 from m2i2.errors import ConfigError
-from m2i2.model import ModelParams
+from m2i2.model import ModelParams, decode_answer
 from m2i2.synth import generate_vqa
-from m2i2.text import EOS, build_vocab
+from m2i2.tensor import cross_entropy
+from m2i2.text import BOS, EOS, build_vocab
 from m2i2.vision import load_image
 
 
@@ -146,6 +147,28 @@ def test_attention_map_grad_weighted_differs(setup):
     b = attention_map(mp, cfg, img, samples[0].question, vocab, grad_weighted=False)
     assert a.shape == b.shape
     assert not np.allclose(a, b)
+
+
+def test_grad_weighted_map_follows_the_generated_first_token(setup):
+    root, samples, cfg, _, vocab = setup
+    mp = ModelParams(cfg.model_config(), np.random.default_rng(0))
+    # head slots past the vocab's ids score highest, but no decoding emits them
+    mp.params["ans_head.b"].data[len(vocab) :] = 10.0
+    for s in samples[:4]:
+        img = load_image(root / s.image, channels=1)
+        answer = generate_answer(mp, cfg, img, s.question, vocab)
+        first = answer[0] if answer else EOS
+        capture = []
+        fused, ids, grid = fuse_question(mp, cfg, img, s.question, vocab, capture=capture)
+        logits = decode_answer(mp, fused, ids, np.array([[BOS]]))
+        assert np.argmax(logits.data[0, -1]) >= len(vocab) > first
+        mp.zero_grads()
+        cross_entropy(logits[0, -1:], [first]).backward()  # descends log p(first)
+        attn = capture[-1]
+        rows = (attn.data * np.maximum(-attn.grad, 0.0))[0, :, 0, 1:].mean(axis=0)
+        expected = ((rows - rows.min()) / (rows.max() - rows.min())).reshape(grid)
+        heat = attention_map(mp, cfg, img, s.question, vocab)
+        assert np.array_equal(heat, expected)
 
 
 def test_write_heatmap_roundtrip(setup, tmp_path):

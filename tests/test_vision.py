@@ -81,17 +81,17 @@ class TestImageIO:
 class TestAugment:
     def test_eval_mode_is_center_crop(self):
         img = rand_image(10, 10)
-        out = augment(img, 6, train=False)
+        out = augment(img, 6)
         assert np.array_equal(out.pixels, img.pixels[2:8, 2:8])
 
     def test_eval_mode_deterministic(self):
         img = rand_image(12, 12)
-        a = augment(img, 8, train=False)
-        b = augment(img, 8, train=False)
+        a = augment(img, 8)
+        b = augment(img, 8)
         assert np.array_equal(a.pixels, b.pixels)
 
     def test_small_image_resized_up(self):
-        out = augment(rand_image(4, 4), 8, train=False)
+        out = augment(rand_image(4, 4), 8)
         assert out.pixels.shape == (8, 8, 1)
 
     def test_pixels_stay_in_range(self):

@@ -249,6 +249,12 @@ class TestElementwiseGrads:
     def test_against_finite_differences(self, build):
         assert check_grad(build, rand(3, 4)) < OP_TOL
 
+    def test_gather_rows_grad(self):
+        # the batched row gather decode_image runs: table[arange(b)[:, None], idx]
+        idx = np.array([[0, 2, 2], [1, 0, 1]])
+        w = rand(2, 3, 4)
+        assert check_grad(lambda t: (t[np.arange(2)[:, None], idx] * Tensor(w)).sum(), rand(2, 3, 4)) < OP_TOL
+
 
 class TestNumerics:
     def test_overflow_is_an_error(self):

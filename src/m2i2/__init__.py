@@ -14,7 +14,7 @@ from .errors import (
     NumericsError,
     ShapeError,
 )
-from .evaluation import EvalReport, attention_map, evaluate, generate_answer
+from .evaluation import EvalReport, attention_map, evaluate, generate_answer, generate_answers
 from .model import ModelConfig, ModelParams
 from .momentum import FeatureQueue, enqueue, momentum_update
 from .objectives import (
@@ -26,7 +26,7 @@ from .objectives import (
     mlm_loss,
 )
 from .synth import generate_captions, generate_vqa, load_captions, load_vqa
-from .tensor import Tensor, cross_entropy, layer_norm, softmax
+from .tensor import Tensor, cross_entropy, layer_norm, no_grad, softmax
 from .text import Vocab, build_vocab, detokenize, extend_vocab, mask_tokens, tokenize
 from .trainer import finetune, load_checkpoint, pretrain, restore_model
 from .vision import Image, load_image, mask_patches, patchify, resize_bilinear, unpatchify, write_image
@@ -46,6 +46,7 @@ __all__ = [
     "attention_map",
     "evaluate",
     "generate_answer",
+    "generate_answers",
     "ModelConfig",
     "ModelParams",
     "FeatureQueue",
@@ -64,6 +65,7 @@ __all__ = [
     "Tensor",
     "cross_entropy",
     "layer_norm",
+    "no_grad",
     "softmax",
     "Vocab",
     "build_vocab",

@@ -34,7 +34,13 @@ def resolve_config(args) -> TrainConfig:
     overrides = {}
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            overrides.update(json.loads(f.read()))
+            try:
+                loaded = json.load(f)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"config file {args.config} is not valid JSON: {e}") from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object, got {type(loaded).__name__}")
+        overrides.update(loaded)
     for kv in args.set or []:
         if "=" not in kv:
             raise ConfigError(f"override must be key=value, got {kv!r}")
@@ -49,7 +55,7 @@ def resolve_config(args) -> TrainConfig:
         if getattr(args, flag, False):
             overrides[key] = False
     if "M2I2_SEED" in os.environ:
-        overrides["seed"] = int(os.environ["M2I2_SEED"])
+        overrides["seed"] = _parse_value(os.environ["M2I2_SEED"])
     overrides["phase"] = args.command
     return preset(args.preset or "desk", **overrides)
 

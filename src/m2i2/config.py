@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -81,9 +82,14 @@ class TrainConfig(ModelConfig):
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            if not _is_a(value, _FIELD_TYPES[key]):
+                raise ConfigError(f"config key {key!r} must be {_FIELD_TYPES[key].__name__}, got {value!r}")
         return cls(**d).validate()
 
     @classmethod
@@ -98,6 +104,20 @@ class TrainConfig(ModelConfig):
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             f.write(self.to_json())
+
+
+# resolved once: get_type_hints costs ~30x a whole from_dict call
+_FIELD_TYPES: dict[str, type] = typing.get_type_hints(TrainConfig)
+
+
+def _is_a(value, kind: type) -> bool:
+    """Whether value fits a field of type kind. Python's bool is an int, but
+    only bool fields take it; float fields also take int."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
 
 
 PRESETS = {

@@ -16,7 +16,7 @@ from .config import TrainConfig
 from .errors import ConfigError
 from .model import ModelParams, decode_answer, encode_full_images, encode_text, fuse
 from .synth import VqaSample
-from .tensor import cross_entropy
+from .tensor import cross_entropy, no_grad
 from .text import BOS, EOS, Vocab, detokenize, tokenize
 from .vision import Image, load_image, write_image
 
@@ -58,6 +58,19 @@ class EvalReport:
         )
 
 
+def _fuse_batch(
+    mp: ModelParams,
+    images: list[Image],
+    questions: list[str],
+    vocab: Vocab,
+    capture: list | None = None,
+):
+    img_feats = encode_full_images(mp, images)
+    ids = np.stack([tokenize(q, vocab, mp.cfg.max_text_len) for q in questions])
+    fused = fuse(mp, encode_text(mp, ids), img_feats, ids, capture=capture)
+    return fused, ids
+
+
 def fuse_question(
     mp: ModelParams,
     cfg: TrainConfig,
@@ -66,10 +79,51 @@ def fuse_question(
     vocab: Vocab,
     capture: list | None = None,
 ):
-    img_feats = encode_full_images(mp, [img])
-    ids = tokenize(question, vocab, cfg.max_text_len)[None]
-    fused = fuse(mp, encode_text(mp, ids), img_feats, ids, capture=capture)
+    """One question's fused features, ids and the patch grid; lengths come
+    from mp.cfg, cfg is kept for existing callers."""
+    fused, ids = _fuse_batch(mp, [img], [question], vocab, capture=capture)
     return fused, ids, mp.cfg.grid
+
+
+def generate_answers(
+    mp: ModelParams,
+    images: list[Image],
+    questions: list[str],
+    vocab: Vocab,
+    max_len: int | None = None,
+) -> list[list[int]]:
+    """Greedy decoding from BOS for a batch of (image, question) pairs.
+
+    One encoder and fusion pass for the batch, then one decoder pass per
+    step over the [b, Lp] prefixes, with no tape. A row stops recording at
+    its EOS; the loop ends when every row has stopped, after max_len tokens
+    (default max_answer_len - 1), or when the prefix fills max_answer_len.
+    Rows never mix, and the causal mask hides the tokens a row is fed after
+    it stopped, so each row decodes as it would alone.
+    """
+    cfg = mp.cfg
+    max_len = max_len if max_len is not None else cfg.max_answer_len - 1
+    if max_len < 1:
+        raise ConfigError("max_len must be >= 1")
+    out: list[list[int]] = [[] for _ in questions]
+    with no_grad():
+        fused, ids = _fuse_batch(mp, images, questions, vocab)
+        prefix = np.full((len(questions), 1), BOS, dtype=np.int64)
+        live = np.ones(len(questions), dtype=bool)
+        for _ in range(max_len):
+            logits = decode_answer(mp, fused, ids, prefix)
+            # the head covers cfg.vocab_size slots; only ids the vocab defines
+            # are decodable (ties resolve to lowest id)
+            nxt = np.argmax(logits.data[:, -1, : len(vocab)], axis=-1)
+            live &= nxt != EOS
+            if not live.any():
+                break
+            for i in np.flatnonzero(live):
+                out[i].append(int(nxt[i]))
+            prefix = np.concatenate([prefix, nxt[:, None]], axis=1)
+            if prefix.shape[1] >= cfg.max_answer_len:
+                break
+    return out
 
 
 def generate_answer(
@@ -80,25 +134,9 @@ def generate_answer(
     vocab: Vocab,
     max_len: int | None = None,
 ) -> list[int]:
-    """Greedy decoding from BOS; stops at EOS or max_len tokens."""
-    max_len = max_len if max_len is not None else cfg.max_answer_len - 1
-    if max_len < 1:
-        raise ConfigError("max_len must be >= 1")
-    fused, ids, _ = fuse_question(mp, cfg, img, question, vocab)
-    prefix = [BOS]
-    out: list[int] = []
-    for _ in range(max_len):
-        logits = decode_answer(mp, fused, ids, np.array([prefix]))
-        # the head covers cfg.vocab_size slots; only ids the vocab defines
-        # are decodable (ties resolve to lowest id)
-        nxt = int(np.argmax(logits.data[0, -1, : len(vocab)]))
-        if nxt == EOS:
-            break
-        out.append(nxt)
-        prefix.append(nxt)
-        if len(prefix) >= cfg.max_answer_len:
-            break
-    return out
+    """Greedy decoding of one question: generate_answers on a batch of one.
+    Lengths come from mp.cfg; cfg is kept for existing callers."""
+    return generate_answers(mp, [img], [question], vocab, max_len)[0]
 
 
 def evaluate(
@@ -109,17 +147,26 @@ def evaluate(
     vocab: Vocab,
     answer_type_filter: str = "all",  # all | free (freeform question_form only)
 ) -> EvalReport:
-    """Exact-match accuracy after normalization, split by answer type."""
+    """Exact-match accuracy after normalization, split by answer type.
+
+    Decodes cfg.batch_size questions per generate_answers pass, without a
+    tape; predictions equal per-question generate_answer calls. Heatmaps
+    (attention_map) still build a tape, since grad weighting needs backward.
+    """
     if answer_type_filter == "free":
         samples = [s for s in samples if s.question_form == "freeform"]
     if not samples:
         raise ConfigError("no samples left after filtering")
+    images = {
+        name: load_image(os.path.join(data_root, name), channels=cfg.channels)
+        for name in {s.image for s in samples}
+    }
+    answers: list[list[int]] = []
+    for lo in range(0, len(samples), cfg.batch_size):
+        chunk = samples[lo : lo + cfg.batch_size]
+        answers += generate_answers(mp, [images[s.image] for s in chunk], [s.question for s in chunk], vocab)
     report = EvalReport()
-    cache: dict[str, Image] = {}
-    for s in samples:
-        if s.image not in cache:
-            cache[s.image] = load_image(os.path.join(data_root, s.image), channels=cfg.channels)
-        toks = generate_answer(mp, cfg, cache[s.image], s.question, vocab)
+    for s, toks in zip(samples, answers):
         pred = detokenize(toks, vocab)
         correct = normalize_answer(pred) == normalize_answer(s.answer)
         if s.answer_type == "closed":

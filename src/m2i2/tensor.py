@@ -8,11 +8,13 @@ visited tensor, so intermediate activations (e.g. captured attention maps)
 expose gradients too, not just leaf parameters.
 
 Everything is float64. Any forward result containing NaN/Inf raises
-NumericsError instead of propagating silently.
+NumericsError instead of propagating silently. Inside ``no_grad()`` no
+tape is recorded: every result is a parentless constant.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Iterable, Sequence
 
@@ -21,6 +23,23 @@ import numpy as np
 from .errors import ContractError, NumericsError, ShapeError
 
 GELU_C = math.sqrt(2.0 / math.pi)
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block; the previous mode returns on exit.
+
+    For forward-only work such as greedy decoding: results still go through
+    the finiteness check, but keep no parents or backward closures alive.
+    """
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -51,7 +70,7 @@ class Tensor:
     def _make(data: np.ndarray, parents: Sequence["Tensor"], backward) -> "Tensor":
         if not np.all(np.isfinite(data)):
             raise NumericsError("operation produced non-finite values")
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
         return Tensor(data)
 

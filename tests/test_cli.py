@@ -4,6 +4,7 @@ import os
 import pytest
 
 from m2i2.cli import build_parser, main, resolve_config
+from m2i2.errors import ConfigError
 
 
 def run_cli(*argv):
@@ -34,8 +35,6 @@ def test_resolve_preset_and_set():
 
 def test_resolve_unknown_key_rejected():
     args = parse("pretrain", "--data", "d", "--out", "o", "--set", "bogus=1")
-    from m2i2.errors import ConfigError
-
     with pytest.raises(ConfigError):
         resolve_config(args)
 
@@ -59,6 +58,41 @@ def test_resolve_config_file(tmp_path):
     args = parse("pretrain", "--data", "d", "--out", "o", "--config", str(p))
     cfg = resolve_config(args)
     assert cfg.seed == 4 and cfg.dim == 32
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1, 2]", "must hold a JSON object"), ('{"seed": 4, "dim"', "is not valid JSON")],
+    ids=["not_an_object", "truncated"],
+)
+def test_resolve_malformed_config_file(tmp_path, text, message):
+    p = tmp_path / "c.json"
+    p.write_text(text)
+    args = parse("pretrain", "--data", "d", "--out", "o", "--config", str(p))
+    with pytest.raises(ConfigError, match=message) as info:
+        resolve_config(args)
+    assert str(p) in str(info.value)
+
+
+@pytest.mark.parametrize("override", ["dim=abc", "batch_size=1.5", "enable_mim=1", "lr_init=true"])
+def test_resolve_mistyped_set_names_the_key(override):
+    args = parse("pretrain", "--data", "d", "--out", "o", "--set", override)
+    key = override.split("=")[0]
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+        resolve_config(args)
+
+
+def test_resolve_int_for_float_key():
+    args = parse("pretrain", "--data", "d", "--out", "o", "--set", "lr_init=1", "--set", "lr_final=0")
+    cfg = resolve_config(args)
+    assert (cfg.lr_init, cfg.lr_final) == (1, 0)
+
+
+def test_resolve_malformed_env_seed(monkeypatch):
+    monkeypatch.setenv("M2I2_SEED", "abc")
+    args = parse("pretrain", "--data", "d", "--out", "o")
+    with pytest.raises(ConfigError, match="'seed'"):
+        resolve_config(args)
 
 
 # ---- subcommands end to end ----------------------------------------------

@@ -19,6 +19,12 @@ def test_unknown_key_rejected():
         TrainConfig.from_dict(d)
 
 
+@pytest.mark.parametrize("text", ["5", "null", '"abc"'])
+def test_non_object_json_rejected(text):
+    with pytest.raises(ConfigError, match="JSON object"):
+        TrainConfig.from_json(text)
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError):
         preset("huge")

@@ -8,6 +8,7 @@ from m2i2.evaluation import (
     evaluate,
     fuse_question,
     generate_answer,
+    generate_answers,
     normalize_answer,
     write_heatmap,
     write_report,
@@ -15,8 +16,8 @@ from m2i2.evaluation import (
 from m2i2.errors import ConfigError
 from m2i2.model import ModelParams, decode_answer
 from m2i2.synth import generate_vqa
-from m2i2.tensor import cross_entropy
-from m2i2.text import BOS, EOS, build_vocab
+from m2i2.tensor import Tensor, cross_entropy
+from m2i2.text import BOS, EOS, build_vocab, detokenize
 from m2i2.vision import load_image
 
 
@@ -102,6 +103,43 @@ def test_evaluate_empty_after_filter_rejected(setup):
     closed_para = [s for s in samples if s.question_form == "paraphrased"]
     with pytest.raises(ConfigError):
         evaluate(mp, cfg, closed_para, root, vocab, answer_type_filter="free")
+
+
+def test_evaluate_batches_decode_like_single_questions(setup):
+    root, samples, cfg, _, vocab = setup
+    samples = samples[:7]  # batch_size 4: one full chunk, one partial
+    assert cfg.batch_size == 4
+    imgs = [load_image(root / s.image, channels=1) for s in samples]
+    questions = [s.question for s in samples]
+    mp = ModelParams(cfg.model_config(), np.random.default_rng(0))
+    # an EOS bias inside the spread of first-step margins: some rows stop at
+    # once, while the rest of their chunk decodes on
+    first = np.stack([
+        decode_answer(mp, *fuse_question(mp, cfg, img, q, vocab)[:2], np.array([[BOS]])).data[0, -1, : len(vocab)]
+        for img, q in zip(imgs, questions)
+    ])
+    mp.params["ans_head.b"].data[EOS] += np.median(first.max(axis=1) - first[:, EOS])
+    single = [generate_answer(mp, cfg, img, q, vocab) for img, q in zip(imgs, questions)]
+    lengths = {len(a) for a in single}
+    assert 0 in lengths and len(lengths) >= 2
+    assert generate_answers(mp, imgs, questions, vocab) == single
+    report = evaluate(mp, cfg, samples, root, vocab)
+    assert [p["prediction"] for p in report.predictions] == [detokenize(a, vocab) for a in single]
+
+
+def test_evaluate_records_no_tape(setup, monkeypatch):
+    root, samples, cfg, mp, vocab = setup
+    make = Tensor._make
+    has_parents = []
+
+    def recording_make(data, parents, backward):
+        out = make(data, parents, backward)
+        has_parents.append(bool(out._parents))
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(recording_make))
+    evaluate(mp, cfg, samples, root, vocab)
+    assert has_parents and sum(has_parents) == 0
 
 
 def test_write_report_files(setup, tmp_path):

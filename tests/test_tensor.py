@@ -12,6 +12,7 @@ from m2i2.tensor import (
     concat,
     cross_entropy,
     layer_norm,
+    no_grad,
     softmax,
 )
 
@@ -260,6 +261,37 @@ class TestNumerics:
     def test_overflow_is_an_error(self):
         with pytest.raises(NumericsError):
             Tensor(1e300) * Tensor(1e300)
+
+
+class TestNoGrad:
+    def test_ops_record_no_tape(self):
+        a, b = Tensor(rand(3, 4), requires_grad=True), Tensor(rand(4, 2), requires_grad=True)
+        with no_grad():
+            out = softmax((a @ b).gelu()) + a.sum()
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert np.array_equal(out.data, (softmax((a @ b).gelu()) + a.sum()).data)
+
+    def test_non_finite_still_raises(self):
+        with no_grad(), pytest.raises(NumericsError):
+            Tensor(1e300, requires_grad=True) * Tensor(1e300)
+
+    def test_mode_restored_after_exit_error_and_nesting(self):
+        a = Tensor(rand(2, 2), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (a * 2.0).requires_grad
+        assert (a * 2.0).requires_grad
+        with pytest.raises(RuntimeError), no_grad():
+            raise RuntimeError("inside")
+        assert (a * 2.0).requires_grad
+
+    def test_backward_works_afterwards(self):
+        a = Tensor(rand(2, 2), requires_grad=True)
+        with no_grad():
+            (a * a).sum()
+        (a * a).sum().backward()
+        assert np.array_equal(a.grad, 2 * a.data)
 
 
 def test_determinism_bitwise():

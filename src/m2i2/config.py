@@ -52,15 +52,26 @@ class TrainConfig(ModelConfig):
         self.model_config()
         if self.lr_final > self.lr_init:
             raise ConfigError("lr_final must be <= lr_init")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
         # the training loop drops every batch of fewer than 2 samples
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
         if self.negative_strategy not in ("uniform", "hard"):
             raise ConfigError(f"unknown negative_strategy {self.negative_strategy!r}")
-        if self.phase == "pretrain" and not (
-            self.enable_mim or self.enable_mlm or self.enable_itm or self.enable_itc
-        ):
+        if self.phase != "pretrain":
+            return self
+        if not (self.enable_mim or self.enable_mlm or self.enable_itm or self.enable_itc):
             raise ConfigError("all pretraining objectives disabled")
+        for key in ("text_mask_rate", "image_mask_rate"):
+            if not 0.0 < getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must be in (0,1), got {getattr(self, key)}")
+        # every pretrain run builds the queue; with ITC each step enqueues a batch
+        need = self.batch_size if self.enable_itc else 1
+        if self.queue_capacity < need:
+            raise ConfigError(f"queue_capacity must be >= {need}, got {self.queue_capacity}")
+        if self.enable_itc and not 0.0 < self.momentum_m < 1.0:
+            raise ConfigError(f"momentum_m must be in (0,1), got {self.momentum_m}")
         return self
 
     def model_config(self) -> ModelConfig:

@@ -90,27 +90,22 @@ def generate_answers(
     images: list[Image],
     questions: list[str],
     vocab: Vocab,
-    max_len: int | None = None,
 ) -> list[list[int]]:
     """Greedy decoding from BOS for a batch of (image, question) pairs.
 
     One encoder and fusion pass for the batch, then one decoder pass per
     step over the [b, Lp] prefixes, with no tape. A row stops recording at
-    its EOS; the loop ends when every row has stopped, after max_len tokens
-    (default max_answer_len - 1), or when the prefix fills max_answer_len.
+    its EOS; the loop ends when every row has stopped or after
+    max_answer_len - 1 tokens, when the prefix fills max_answer_len.
     Rows never mix, and the causal mask hides the tokens a row is fed after
     it stopped, so each row decodes as it would alone.
     """
-    cfg = mp.cfg
-    max_len = max_len if max_len is not None else cfg.max_answer_len - 1
-    if max_len < 1:
-        raise ConfigError("max_len must be >= 1")
     out: list[list[int]] = [[] for _ in questions]
     with no_grad():
         fused, ids = _fuse_batch(mp, images, questions, vocab)
         prefix = np.full((len(questions), 1), BOS, dtype=np.int64)
         live = np.ones(len(questions), dtype=bool)
-        for _ in range(max_len):
+        for _ in range(mp.cfg.max_answer_len - 1):
             logits = decode_answer(mp, fused, ids, prefix)
             # the head covers cfg.vocab_size slots; only ids the vocab defines
             # are decodable (ties resolve to lowest id)
@@ -121,8 +116,6 @@ def generate_answers(
             for i in np.flatnonzero(live):
                 out[i].append(int(nxt[i]))
             prefix = np.concatenate([prefix, nxt[:, None]], axis=1)
-            if prefix.shape[1] >= cfg.max_answer_len:
-                break
     return out
 
 
@@ -132,11 +125,10 @@ def generate_answer(
     img: Image,
     question: str,
     vocab: Vocab,
-    max_len: int | None = None,
 ) -> list[int]:
     """Greedy decoding of one question: generate_answers on a batch of one.
     Lengths come from mp.cfg; cfg is kept for existing callers."""
-    return generate_answers(mp, [img], [question], vocab, max_len)[0]
+    return generate_answers(mp, [img], [question], vocab)[0]
 
 
 def evaluate(

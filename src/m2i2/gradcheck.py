@@ -79,7 +79,9 @@ def op_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
     return [(f"op/{name}", check_grad(build, x0), OP_TOL) for name, build, x0 in cases]
 
 
-def _probe_param_errs(mp: ModelParams, loss_fn, names: list[str], rng: np.random.Generator, n_probe: int = 6) -> float:
+def probe_param_errs(mp: ModelParams, loss_fn, names: list[str], rng: np.random.Generator, n_probe: int = 6) -> float:
+    """The worst relative error of the tape gradient of loss_fn against
+    central differences, at n_probe random entries of each named parameter."""
     mp.zero_grads()
     loss_fn().backward()
     worst = 0.0
@@ -171,7 +173,7 @@ def loss_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
         ("loss/cond_lm", ft, loss_lm, ["ans_head.w", "ans_dec.0.xattn.wk", "ans_pos", "fusion.0.mlp.w2"]),
     ]
     return [
-        (name, _probe_param_errs(mp, fn, names, rng), E2E_TOL) for name, mp, fn, names in suites
+        (name, probe_param_errs(mp, fn, names, rng), E2E_TOL) for name, mp, fn, names in suites
     ]
 
 

@@ -54,6 +54,9 @@ class ModelConfig:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.image_size % self.patch_size:
             raise ConfigError("image_size must be divisible by patch_size")
+        # a text row holds CLS and one token; an answer row BOS and one token
+        if self.max_text_len < 2 or self.max_answer_len < 2:
+            raise ConfigError("max_text_len and max_answer_len must be >= 2")
 
     @property
     def grid(self) -> tuple[int, int]:

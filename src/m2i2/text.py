@@ -56,7 +56,6 @@ class MaskedText:
     ids: np.ndarray  # [max_len] int64, CLS first, PAD tail
     mask_positions: np.ndarray  # sorted int64 indices into ids
     mask_labels: np.ndarray  # original ids at mask_positions
-    attn_len: int  # true length before padding
     degenerate: bool = False  # no maskable position existed
 
 
@@ -185,11 +184,6 @@ def extend_vocab(vocab: Vocab, corpus, max_size: int) -> Vocab:
     return Vocab(tokens)
 
 
-def attn_length(ids: np.ndarray) -> int:
-    nz = np.nonzero(ids != PAD)[0]
-    return int(nz[-1]) + 1 if nz.size else 0
-
-
 def mask_tokens(ids: np.ndarray, vocab: Vocab, rate: float, rng: np.random.Generator) -> MaskedText:
     """Mask each non-special position independently with probability ``rate``.
 
@@ -203,7 +197,7 @@ def mask_tokens(ids: np.ndarray, vocab: Vocab, rate: float, rng: np.random.Gener
     maskable = np.nonzero(ids >= len(RESERVED))[0]
     empty = np.array([], dtype=np.int64)
     if maskable.size == 0:
-        return MaskedText(ids.copy(), empty, empty, attn_length(ids), degenerate=True)
+        return MaskedText(ids.copy(), empty, empty, degenerate=True)
     picked = maskable[rng.random(maskable.size) < rate]
     if picked.size == 0:
         picked = np.array([rng.choice(maskable)], dtype=np.int64)
@@ -211,4 +205,4 @@ def mask_tokens(ids: np.ndarray, vocab: Vocab, rate: float, rng: np.random.Gener
     out = ids.copy()
     labels = out[picked].copy()
     out[picked] = MASK
-    return MaskedText(out, picked, labels, attn_length(ids))
+    return MaskedText(out, picked, labels)

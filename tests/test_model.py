@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from m2i2.errors import ConfigError, ContractError
-from m2i2.gradcheck import OP_TOL, fd_grad, rel_err
+from m2i2.gradcheck import E2E_TOL, OP_TOL, fd_grad, probe_param_errs, rel_err
 from m2i2.model import (
     ModelConfig,
     ModelParams,
@@ -298,21 +298,4 @@ class TestEndToEndGradients:
             fused = fuse(mp, encode_text(mp, ids), encode_image(mp, patches, pos), ids)
             return cross_entropy(itm_logits(mp, fused[:, 0, :]), labels)
 
-        mp.zero_grads()
-        loss().backward()
-        rng = np.random.default_rng(5)
-        for name in probes:
-            g = mp.params[name].grad
-            w0 = mp.params[name].data
-            flat = w0.reshape(-1)
-            picks = rng.choice(flat.size, size=min(8, flat.size), replace=False)
-            for i in picks:
-                orig = flat[i]
-                flat[i] = orig + 1e-5
-                fp = float(loss().data)
-                flat[i] = orig - 1e-5
-                fm = float(loss().data)
-                flat[i] = orig
-                num = (fp - fm) / 2e-5
-                denom = max(abs(num), abs(g.reshape(-1)[i]), 1e-8)
-                assert abs(num - g.reshape(-1)[i]) / denom < 1e-3, name
+        assert probe_param_errs(mp, loss, probes, np.random.default_rng(5), n_probe=8) < E2E_TOL

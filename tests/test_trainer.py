@@ -192,41 +192,65 @@ def test_checkpoint_version_1_rejected(tmp_path):
     # version 2 files also carry config keys that no longer exist
     *_rest, path = _ckpt_fixture(tmp_path)
     raw = path.read_bytes()
-    for version in (1, 2):
+    for version in (1, 2, 3):
         path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
         with pytest.raises(CheckpointError, match=f"version {version}"):
             load_checkpoint(path)
 
 
-def _first_array_offsets(raw: bytes) -> tuple[int, int]:
-    """Offsets of the first array's header and of its data."""
+def _header(raw: bytes) -> tuple[int, dict]:
+    """The length of a checkpoint's JSON header and the header itself."""
     (mlen,) = struct.unpack("<Q", raw[8:16])
-    header = 16 + mlen + 4
-    (nlen,) = struct.unpack("<H", raw[header : header + 2])
-    ndim = raw[header + 2 + nlen]
-    return header, header + 2 + nlen + 1 + 4 * ndim
+    return mlen, json.loads(raw[16 : 16 + mlen])
+
+
+def _malformed(raw: bytes, section: str) -> bytes:
+    mlen, header = _header(raw)
+    payload = 16 + mlen
+    if section == "one trailing byte":
+        return raw + b"\0"
+    if section == "oversized meta length":
+        return raw[:8] + struct.pack("<Q", 2**63) + raw[16:]
+    if section == "oversized table":
+        # 8 TiB listed: allocating it before checking the file would fail
+        header["arrays"][0][1] = [2**40]
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[payload:]
+    cut = {
+        "magic": 2,
+        "version": 6,
+        "meta length": 12,
+        "meta": 16 + mlen // 2,
+        "payload start": payload,
+        "mid-array": payload + (len(raw) - payload) // 2 + 4,
+        "one byte short": len(raw) - 1,
+    }[section]
+    return raw[:cut]
 
 
 @pytest.mark.parametrize(
-    "section", ["magic", "version", "meta length", "meta", "count", "array header", "mid-array"]
+    "section",
+    [
+        "magic", "version", "meta length", "meta", "payload start", "mid-array", "one byte short",
+        "one trailing byte", "oversized meta length", "oversized table",
+    ],
 )
 def test_truncated_checkpoint_raises_checkpoint_error(tmp_path, section):
     *_rest, path = _ckpt_fixture(tmp_path)
-    raw = path.read_bytes()
-    (mlen,) = struct.unpack("<Q", raw[8:16])
-    header, data = _first_array_offsets(raw)
-    cut = {
-        "magic": 2,
-        "version": 4,
-        "meta length": 8,
-        "meta": 16,
-        "count": 16 + mlen,
-        "array header": header,
-        "mid-array": data + 4,
-    }[section]
-    path.write_bytes(raw[:cut])
+    path.write_bytes(_malformed(path.read_bytes(), section))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_header_lists_every_array_in_order(tmp_path):
+    *_rest, path = _ckpt_fixture(tmp_path)
+    raw = path.read_bytes()
+    mlen, header = _header(raw)
+    ckpt = load_checkpoint(path)
+    assert [name for name, _ in header["arrays"]] == sorted(ckpt.arrays)
+    assert "arrays" not in ckpt.meta
+    payload = b"".join(ckpt.arrays[name].astype("<f8").tobytes() for name, _ in header["arrays"])
+    assert raw[16 + mlen :] == payload
 
 
 def test_restore_draws_nothing_and_copies(tmp_path, monkeypatch):
@@ -248,22 +272,47 @@ def test_restore_draws_nothing_and_copies(tmp_path, monkeypatch):
         assert np.array_equal(a, ckpt.arrays[key]) and not np.shares_memory(a, ckpt.arrays[key]), key
 
 
+class _FailingFile:
+    """A file whose tenth write raises, as a full disk would."""
+
+    def __init__(self, f):
+        self.f, self.writes, self.written = f, 0, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 10:
+            raise OSError("disk full")
+        n = self.f.write(data)
+        self.written += n
+        return n
+
+
 def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     cfg, mp, adam, q, vocab, path = _ckpt_fixture(tmp_path)
     before = path.read_bytes()
-    calls = []
-    write_array = trainer._write_array
+    opened = []
 
-    def failing(f, name, a):
-        calls.append(name)
-        if len(calls) == 10:
-            raise OSError("disk full")
-        write_array(f, name, a)
+    def failing_open(*args, **kwargs):
+        opened.append(_FailingFile(open(*args, **kwargs)))
+        return opened[-1]
 
-    monkeypatch.setattr(trainer, "_write_array", failing)
     mp.params["tok_embed"].data = mp.params["tok_embed"].data + 1.0
-    with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, cfg, mp, adam, q, vocab, step=18, epoch=3)
+    with monkeypatch.context() as m:
+        m.setattr(trainer, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, cfg, mp, adam, q, vocab, step=18, epoch=3)
+    # the failing write came after the header, partway through the arrays
+    (mlen,) = struct.unpack("<Q", before[8:16])
+    assert 16 + mlen < opened[0].written < len(before)
     assert path.read_bytes() == before
     assert load_checkpoint(path).step == 17
     assert os.listdir(tmp_path) == ["c.bin"]
@@ -423,12 +472,16 @@ def test_finetune_from_scratch_runs(vqa_data, tmp_path):
     assert load_checkpoint(path).config.phase == "finetune"
 
 
-@pytest.mark.parametrize("bad", ["heads", "one sample"])
+@pytest.mark.parametrize("bad", ["heads", "one sample", "queue", "epochs"])
 def test_bad_input_fails_before_any_output(caption_data, tmp_path, bad):
     root, samples = caption_data
     cfg = tiny_cfg()
     if bad == "heads":
         cfg.heads = 3  # construction already refuses it
+    elif bad == "queue":
+        cfg.queue_capacity = cfg.batch_size - 1
+    elif bad == "epochs":
+        cfg.epochs = 0
     else:
         samples = samples[:1]
     with pytest.raises(ConfigError):

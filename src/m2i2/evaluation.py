@@ -16,7 +16,7 @@ from .config import TrainConfig
 from .errors import ConfigError
 from .model import ModelParams, decode_answer, encode_full_images, encode_text, fuse
 from .synth import VqaSample
-from .tensor import cross_entropy, no_grad
+from .tensor import Tensor, cross_entropy, no_grad
 from .text import BOS, EOS, Vocab, detokenize, tokenize
 from .vision import Image, load_image, write_image
 
@@ -65,10 +65,35 @@ def _fuse_batch(
     vocab: Vocab,
     capture: list | None = None,
 ):
-    img_feats = encode_full_images(mp, images)
-    ids = np.stack([tokenize(q, vocab, mp.cfg.max_text_len) for q in questions])
-    fused = fuse(mp, encode_text(mp, ids), img_feats, ids, capture=capture)
+    """Fused features and token ids of a batch, in batch order.
+
+    Each distinct Image object goes through the image encoder once, and each
+    distinct question through the text encoder once; their rows are then
+    gathered into batch order. Rows never mix and text keeps its full
+    max_text_len padding, so every row is bitwise the one a batch of one
+    gives.
+    """
+    uniq_imgs, img_rows = _distinct(images, key=id)
+    uniq_qs, q_rows = _distinct(questions)
+    img_feats = _in_order(encode_full_images(mp, uniq_imgs), img_rows)
+    uniq_ids = np.stack([tokenize(q, vocab, mp.cfg.max_text_len) for q in uniq_qs])
+    ids = uniq_ids[q_rows]
+    fused = fuse(mp, _in_order(encode_text(mp, uniq_ids), q_rows), img_feats, ids, capture=capture)
     return fused, ids
+
+
+def _distinct(items: list, key=lambda x: x) -> tuple[list, np.ndarray]:
+    """The distinct items in first-seen order, and each item's row among them."""
+    rows: dict = {}
+    for x in items:
+        rows.setdefault(key(x), (len(rows), x))
+    return [x for _, x in rows.values()], np.array([rows[key(x)][0] for x in items], dtype=np.int64)
+
+
+def _in_order(feats: Tensor, rows: np.ndarray) -> Tensor:
+    """feats gathered into batch order; as is when every item was distinct,
+    since first-seen order then makes rows 0..n-1."""
+    return feats if feats.shape[0] == len(rows) else feats[rows]
 
 
 def fuse_question(
@@ -93,20 +118,27 @@ def generate_answers(
 ) -> list[list[int]]:
     """Greedy decoding from BOS for a batch of (image, question) pairs.
 
-    One encoder and fusion pass for the batch, then one decoder pass per
-    step over the [b, Lp] prefixes, with no tape. A row stops recording at
-    its EOS; the loop ends when every row has stopped or after
-    max_answer_len - 1 tokens, when the prefix fills max_answer_len.
-    Rows never mix, and the causal mask hides the tokens a row is fed after
-    it stopped, so each row decodes as it would alone.
+    One encoder and fusion pass for the batch (each distinct image and
+    question encoded once, see _fuse_batch), then one decoder step per
+    token, with no tape. The steps share a decode cache: the fused memory's
+    cross-attention keys and values are projected once, and each step runs
+    only the newest position, reusing the earlier positions' self-attention
+    keys and values. The cached logits may differ from those of a
+    teacher-forced decode_answer pass over the same prefix in the last bits.
+
+    A row stops recording at its EOS; the loop ends when every row has
+    stopped or after max_answer_len - 1 tokens, when the prefix fills
+    max_answer_len. Rows never mix, and the causal mask hides the tokens a
+    row is fed after it stopped, so each row decodes as it would alone.
     """
     out: list[list[int]] = [[] for _ in questions]
     with no_grad():
         fused, ids = _fuse_batch(mp, images, questions, vocab)
         prefix = np.full((len(questions), 1), BOS, dtype=np.int64)
         live = np.ones(len(questions), dtype=bool)
+        cache: dict = {}
         for _ in range(mp.cfg.max_answer_len - 1):
-            logits = decode_answer(mp, fused, ids, prefix)
+            logits = decode_answer(mp, fused, ids, prefix, cache=cache)
             # the head covers cfg.vocab_size slots; only ids the vocab defines
             # are decodable (ties resolve to lowest id)
             nxt = np.argmax(logits.data[:, -1, : len(vocab)], axis=-1)

@@ -11,7 +11,8 @@ fusion encoder; pretraining adds the image decoder, the ITC/ITM/MLM/MIM heads
 and a momentum copy, finetuning adds the answer decoder.
 
 All forward functions are batched ([b, ...]) and pure given (inputs, params),
-so repeated passes are bitwise identical.
+so repeated passes are bitwise identical; the one state a call updates is
+the decode cache a caller may pass to decode_answer.
 """
 
 from __future__ import annotations
@@ -222,12 +223,16 @@ def attention(
     bias: np.ndarray | None = None,
     kv: Tensor | None = None,
     capture: list | None = None,
+    cache: dict | None = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention; pre-normalized input expected.
 
     bias is an additive attention mask broadcastable to [b, h, Lq, Lk];
     kv switches to cross-attention. capture, when given, receives the
-    post-softmax attention tensor.
+    post-softmax attention tensor. cache, when given, keeps this call's
+    split keys and values under prefix for the next call: self-attention
+    appends the rows of x to the cached ones, so x holds only new
+    positions; cross-attention projects kv on the first call only.
     """
     b, Lq, d = x.shape
     hd = d // heads
@@ -240,8 +245,16 @@ def attention(
         return t.reshape(b, L, heads, hd).transpose((0, 2, 1, 3))
 
     q = split(linear(x, P[f"{prefix}.wq"], P[f"{prefix}.qb"]), Lq)
-    k = split(linear(src, P[f"{prefix}.wk"], P[f"{prefix}.kb"]), Lk)
-    v = split(linear(src, P[f"{prefix}.wv"], P[f"{prefix}.vb"]), Lk)
+    cached = cache.get(prefix) if cache is not None else None
+    if kv is not None and cached is not None:
+        k, v = cached
+    else:
+        k = split(linear(src, P[f"{prefix}.wk"], P[f"{prefix}.kb"]), Lk)
+        v = split(linear(src, P[f"{prefix}.wv"], P[f"{prefix}.vb"]), Lk)
+        if cached is not None:
+            k, v = concat([cached[0], k], axis=2), concat([cached[1], v], axis=2)
+        if cache is not None:
+            cache[prefix] = (k, v)
     scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(hd))
     if bias is not None:
         scores = scores + bias
@@ -270,11 +283,13 @@ def transformer_stack(
     memory: Tensor | None = None,
     memory_bias: np.ndarray | None = None,
     capture: list | None = None,
+    cache: dict | None = None,
 ) -> Tensor:
-    """Pre-LN transformer; optional cross-attention to ``memory`` per layer."""
+    """Pre-LN transformer; optional cross-attention to ``memory`` per layer.
+    cache is handed to every attention call (see attention)."""
     for i in range(depth):
         p = f"{prefix}.{i}"
-        x = x + attention(_ln(x, P, f"{p}.ln1"), P, f"{p}.attn", heads, bias=self_bias)
+        x = x + attention(_ln(x, P, f"{p}.ln1"), P, f"{p}.attn", heads, bias=self_bias, cache=cache)
         if memory is not None:
             x = x + attention(
                 _ln(x, P, f"{p}.ln_x"),
@@ -284,6 +299,7 @@ def transformer_stack(
                 bias=memory_bias,
                 kv=memory,
                 capture=capture,
+                cache=cache,
             )
         x = x + _mlp(_ln(x, P, f"{p}.ln2"), P, p)
     return _ln(x, P, f"{prefix}.ln_f")
@@ -416,13 +432,23 @@ def decode_answer(
     fused_context: Tensor,
     text_ids: np.ndarray,
     prefix_ids: np.ndarray,
+    cache: dict | None = None,
 ) -> Tensor:
-    """Causal answer decoder under teacher forcing.
+    """Causal answer decoder.
 
     prefix_ids [b, Lp] must start with BOS. Cross-attention memory is the
     full fused sequence with the fused CLS additionally prepended as the
     first slot.
-    Returns next-token logits for every prefix position: [b, Lp, vocab].
+
+    Without a cache this is teacher forcing: returns next-token logits for
+    every prefix position, [b, Lp, vocab]. With a cache (a dict, empty on
+    the first call of a batch) the memory, its mask and the cross-attention
+    keys and values are made on the first call, and each call embeds only
+    the prefix positions the cache has not seen, appends their
+    self-attention keys and values, and returns logits for those positions
+    only: [b, Lp - seen, vocab]. Each call's prefix must extend the last
+    one's. The cached logits equal the teacher-forced ones up to the last
+    bits, since one-row products take a different BLAS path.
     """
     P = mp.params
     cfg = mp.cfg
@@ -434,12 +460,20 @@ def decode_answer(
     if (prefix_ids[:, 0] != BOS).any():
         raise ContractError("answer prefix must start with BOS")
     b, Lp = prefix_ids.shape
-    memory = concat([fused_context[:, 0:1, :], fused_context], axis=1)
-    mem_bias = np.concatenate(
-        [np.zeros((b, 1)), np.where(text_ids == 0, NEG_BIAS, 0.0)], axis=1
-    )[:, None, None, :]
-    causal = np.where(np.tril(np.ones((Lp, Lp))) > 0, 0.0, NEG_BIAS)[None, None]
-    x = P["tok_embed"][prefix_ids] + P["ans_pos"][:Lp]
+    seen = cache.get("seen", 0) if cache is not None else 0
+    if Lp <= seen:
+        raise ContractError(f"answer prefix of length {Lp} adds nothing to the {seen} cached positions")
+    if cache is not None and "memory" in cache:
+        memory, mem_bias = cache["memory"]
+    else:
+        memory = concat([fused_context[:, 0:1, :], fused_context], axis=1)
+        mem_bias = np.concatenate(
+            [np.zeros((b, 1)), np.where(text_ids == 0, NEG_BIAS, 0.0)], axis=1
+        )[:, None, None, :]
+        if cache is not None:
+            cache["memory"] = memory, mem_bias
+    causal = np.where(np.tril(np.ones((Lp, Lp))) > 0, 0.0, NEG_BIAS)[None, None, seen:]
+    x = P["tok_embed"][prefix_ids[:, seen:]] + P["ans_pos"][seen:Lp]
     out = transformer_stack(
         x,
         P,
@@ -449,7 +483,10 @@ def decode_answer(
         self_bias=causal,
         memory=memory,
         memory_bias=mem_bias,
+        cache=cache,
     )
+    if cache is not None:
+        cache["seen"] = Lp
     return linear(out, P["ans_head.w"], P["ans_head.b"])
 
 

@@ -509,6 +509,9 @@ def pretrain(
                 enqueue(queue, *mom_projs)
 
         fields = {k: getattr(report, k) for k in ("mim", "mlm", "itm", "itc", "total")}
+        # the temperature this step's ITC ran at and the queue it scored against
+        fields["temp"] = float(np.exp(mp.params["itc.log_temp"].data))
+        fields["queue_fill"] = queue.filled
         return total, fields, after_step
 
     return _train(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from m2i2 import evaluation
 from m2i2.config import preset
 from m2i2.evaluation import (
     EvalReport,
@@ -13,7 +14,7 @@ from m2i2.evaluation import (
     write_heatmap,
     write_report,
 )
-from m2i2.errors import ConfigError
+from m2i2.errors import ConfigError, ContractError
 from m2i2.model import ModelParams, decode_answer
 from m2i2.synth import generate_vqa
 from m2i2.tensor import Tensor, cross_entropy
@@ -105,26 +106,103 @@ def test_evaluate_empty_after_filter_rejected(setup):
         evaluate(mp, cfg, closed_para, root, vocab, answer_type_filter="free")
 
 
+def _eos_biased_model(cfg, imgs, questions, vocab):
+    """A fresh model with an EOS bias inside the spread of first-step
+    margins: some rows stop at once, while the rest of their batch decodes on."""
+    mp = ModelParams(cfg.model_config(), np.random.default_rng(0))
+    first = np.stack([
+        decode_answer(mp, *fuse_question(mp, cfg, img, q, vocab)[:2], np.array([[BOS]])).data[0, -1, : len(vocab)]
+        for img, q in zip(imgs, questions)
+    ])
+    mp.params["ans_head.b"].data[EOS] += np.median(first.max(axis=1) - first[:, EOS])
+    return mp
+
+
 def test_evaluate_batches_decode_like_single_questions(setup):
     root, samples, cfg, _, vocab = setup
     samples = samples[:7]  # batch_size 4: one full chunk, one partial
     assert cfg.batch_size == 4
     imgs = [load_image(root / s.image, channels=1) for s in samples]
     questions = [s.question for s in samples]
-    mp = ModelParams(cfg.model_config(), np.random.default_rng(0))
-    # an EOS bias inside the spread of first-step margins: some rows stop at
-    # once, while the rest of their chunk decodes on
-    first = np.stack([
-        decode_answer(mp, *fuse_question(mp, cfg, img, q, vocab)[:2], np.array([[BOS]])).data[0, -1, : len(vocab)]
-        for img, q in zip(imgs, questions)
-    ])
-    mp.params["ans_head.b"].data[EOS] += np.median(first.max(axis=1) - first[:, EOS])
+    mp = _eos_biased_model(cfg, imgs, questions, vocab)
     single = [generate_answer(mp, cfg, img, q, vocab) for img, q in zip(imgs, questions)]
     lengths = {len(a) for a in single}
     assert 0 in lengths and len(lengths) >= 2
     assert generate_answers(mp, imgs, questions, vocab) == single
     report = evaluate(mp, cfg, samples, root, vocab)
     assert [p["prediction"] for p in report.predictions] == [detokenize(a, vocab) for a in single]
+
+
+def test_cached_decoding_matches_teacher_forcing(setup):
+    root, samples, cfg, _, vocab = setup
+    samples = samples[:7]
+    imgs = [load_image(root / s.image, channels=1) for s in samples]
+    questions = [s.question for s in samples]
+    mp = _eos_biased_model(cfg, imgs, questions, vocab)
+    answers = generate_answers(mp, imgs, questions, vocab)
+    assert answers == [generate_answer(mp, cfg, img, q, vocab) for img, q in zip(imgs, questions)]
+    assert 0 in {len(a) for a in answers} and len({len(a) for a in answers}) >= 2
+    for img, q, tokens in zip(imgs, questions, answers):
+        fused, ids, _ = fuse_question(mp, cfg, img, q, vocab)
+        stopped_at_eos = len(tokens) < cfg.max_answer_len - 1
+        expected = tokens + [EOS] * stopped_at_eos
+        prefix = np.array([[BOS] + tokens])
+        forced = decode_answer(mp, fused, ids, prefix).data[0, :, : len(vocab)]
+        assert [int(np.argmax(row)) for row in forced[: len(expected)]] == expected
+        cache = {}
+        for t in range(len(expected)):
+            step = decode_answer(mp, fused, ids, prefix[:, : t + 1], cache=cache).data
+            assert step.shape == (1, 1, cfg.vocab_size)
+            assert np.abs(step[0, -1, : len(vocab)] - forced[t]).max() <= 1e-12
+
+
+def test_decode_cache_rejects_a_prefix_it_has_seen(setup):
+    root, samples, cfg, mp, vocab = setup
+    img = load_image(root / samples[0].image, channels=1)
+    fused, ids, _ = fuse_question(mp, cfg, img, samples[0].question, vocab)
+    cache = {}
+    decode_answer(mp, fused, ids, np.array([[BOS]]), cache=cache)
+    with pytest.raises(ContractError):
+        decode_answer(mp, fused, ids, np.array([[BOS]]), cache=cache)
+
+
+def test_fuse_batch_encodes_each_distinct_input_once(setup, monkeypatch):
+    root, samples, cfg, mp, vocab = setup
+    picked = list({s.question: s for s in samples}.values())[:3]
+    imgs = [load_image(root / s.image, channels=1) for s in picked]
+    qs = [s.question for s in picked]
+    assert len(set(qs)) == 3
+    batch_imgs = [imgs[0], imgs[1], imgs[0], imgs[2], imgs[1]]
+    batch_qs = [qs[0], qs[0], qs[1], qs[0], qs[2]]
+    singles = []
+    for img, q in zip(batch_imgs, batch_qs):
+        capture = []
+        fused, ids, _ = fuse_question(mp, cfg, img, q, vocab, capture=capture)
+        singles.append((fused.data[0], ids[0], [c.data[0] for c in capture]))
+
+    seen_imgs, seen_ids = [], []
+    encode_full_images, encode_text = evaluation.encode_full_images, evaluation.encode_text
+
+    def counting_images(mp, images):
+        seen_imgs.extend(images)
+        return encode_full_images(mp, images)
+
+    def counting_text(mp, ids):
+        seen_ids.extend(map(tuple, ids))
+        return encode_text(mp, ids)
+
+    monkeypatch.setattr(evaluation, "encode_full_images", counting_images)
+    monkeypatch.setattr(evaluation, "encode_text", counting_text)
+    capture = []
+    fused, ids = evaluation._fuse_batch(mp, batch_imgs, batch_qs, vocab, capture=capture)
+    assert [id(img) for img in seen_imgs] == [id(img) for img in imgs]
+    assert len(seen_ids) == len(set(seen_ids)) == 3
+    n = cfg.model_config().n_patches
+    assert len(capture) == cfg.depth_fusion
+    assert all(c.shape == (5, cfg.heads, cfg.max_text_len, 1 + n) for c in capture)
+    for i, (f, row_ids, caps) in enumerate(singles):
+        assert np.array_equal(fused.data[i], f) and np.array_equal(ids[i], row_ids)
+        assert all(np.array_equal(c.data[i], one) for c, one in zip(capture, caps))
 
 
 def test_evaluate_records_no_tape(setup, monkeypatch):

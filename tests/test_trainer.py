@@ -544,7 +544,14 @@ def test_metrics_log_fields(caption_data, tmp_path):
     pretrain(tiny_cfg(seed=1, epochs=1), samples, root, tmp_path / "run")
     recs = read_metrics(tmp_path / "run" / "metrics.jsonl")
     for r in recs:
-        assert set(r) == {"step", "epoch", "lr", "mim", "mlm", "itm", "itc", "total", "grad_norm", "wall_ms"}
+        assert set(r) == {
+            "step", "epoch", "lr", "mim", "mlm", "itm", "itc", "total", "temp", "queue_fill", "grad_norm", "wall_ms",
+        }
+    # both are read before the step: the first step runs at the initial
+    # temperature against an empty queue
+    assert recs[0]["temp"] == pytest.approx(0.07) and recs[0]["queue_fill"] == 0
+    fills = [r["queue_fill"] for r in recs]
+    assert fills == sorted(fills) and fills[-1] > 0
 
 
 def test_grad_norm_is_logged_before_clipping(caption_data, vqa_data, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ full sub-network depth) 1e-3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from .config import TrainConfig
 from .model import ModelParams, decode_answer, decode_image, encode_image, encode_text, fuse, itm_logits, mlm_logits, project_itc
 from .momentum import FeatureQueue, enqueue
 from .objectives import cond_lm_loss, itc_loss, itm_loss, mim_loss, mlm_loss
-from .tensor import Tensor, concat, cross_entropy, layer_norm, softmax
+from .tensor import Tensor, concat, cross_entropy, layer_norm, linear, mlp, scaled_dot_product_attention, softmax
 
 OP_TOL = 1e-4
 E2E_TOL = 1e-3
@@ -53,6 +54,17 @@ def check_grad(build, x0: np.ndarray) -> float:
     return rel_err(t.grad, num)
 
 
+def unpack(t: Tensor, *shapes: tuple[int, ...]) -> list[Tensor]:
+    """Consecutive pieces of the flat t, reshaped to shapes; one probe vector
+    so checks every input of a many-input op."""
+    pieces, lo = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        pieces.append(t[lo : lo + n].reshape(shape))
+        lo += n
+    return pieces
+
+
 def op_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
     def r(*s):
         return rng.uniform(-2, 2, size=s)
@@ -75,6 +87,26 @@ def op_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
         ("reshape_transpose", lambda t: (t.reshape(4, 3).transpose((1, 0)) * Tensor(w34)).sum(), r(3, 4)),
         ("indexing", lambda t: (t[np.array([0, 2]), 1:] ** 2.0).sum(), r(3, 4)),
         ("concat", lambda t: (concat([t, t * 0.5], axis=1) * Tensor(np.concatenate([w34, w34], axis=1))).sum(), r(3, 4)),
+    ]
+    # the fused ops, each input cut from one probe vector; attention runs
+    # with and without a PAD mask, and with a loss on its captured probabilities
+    lin = ((3, 4), (4, 5), (5,))
+    heads = ((2, 2, 3, 2), (2, 2, 4, 2), (2, 2, 4, 2))
+    ffn = ((3, 4), (4, 6), (6,), (6, 4), (4,))
+    pad = np.where(np.array([[0, 0, 0, 1], [0, 0, 1, 1]]) > 0, -1e9, 0.0)[:, None, None, :]
+    w234, w2234 = r(2, 3, 4), r(2, 2, 3, 4)
+
+    def attend(t, bias=None, capture=False):
+        cap = [] if capture else None
+        loss = (scaled_dot_product_attention(*unpack(t, *heads), bias, cap) * Tensor(w234)).sum()
+        return loss + (cap[0] * Tensor(w2234)).sum() if capture else loss
+
+    cases += [
+        ("linear", lambda t: (linear(*unpack(t, *lin)) * Tensor(w35)).sum(), r(37)),
+        ("attention", attend, r(88)),
+        ("attention_masked", lambda t: attend(t, pad), r(88)),
+        ("attention_probs", lambda t: attend(t, pad, capture=True), r(88)),
+        ("mlp", lambda t: (mlp(*unpack(t, *ffn)) * Tensor(w34)).sum(), r(70)),
     ]
     return [(f"op/{name}", check_grad(build, x0), OP_TOL) for name, build, x0 in cases]
 

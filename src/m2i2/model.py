@@ -17,13 +17,12 @@ the decode cache a caller may pass to decode_answer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .tensor import Tensor, concat, layer_norm, softmax
+from .tensor import Tensor, concat, layer_norm, linear, mlp, scaled_dot_product_attention
 from .vision import Image, augment, patchify, resize_bilinear
 
 NEG_BIAS = -1e9
@@ -162,7 +161,7 @@ class ModelParams:
     """Named parameter tensors of one phase; in pretraining, plus a momentum
     copy of the unimodal subset.
 
-    ModelParams(cfg, rng) draws fresh values; ModelParams.from_arrays copies
+    ModelParams(cfg, rng) draws fresh values; ModelParams.from_arrays holds
     saved ones and draws nothing.
     """
 
@@ -173,22 +172,24 @@ class ModelParams:
             name: _trunc_normal(rng, shape) if fill is None else np.full(shape, fill)
             for name, shape, fill in _layout(cfg)
         }
-        self._hold(cfg, drawn, drawn)
+        # the momentum copy starts equal to the parameters, in arrays of its own
+        self._hold(cfg, drawn, {n: a.copy() for n, a in drawn.items() if n.startswith(MOMENTUM_PREFIXES)})
 
     @classmethod
     def from_arrays(
         cls, cfg: ModelConfig, params: dict[str, np.ndarray], momentum: dict[str, np.ndarray]
     ) -> "ModelParams":
-        """A model holding copies of saved parameter and momentum arrays;
-        nothing is drawn. Raises ShapeError naming every tensor that is
-        missing or has the wrong shape."""
+        """A model holding the given parameter and momentum arrays themselves,
+        not copies; nothing is drawn. Raises ShapeError naming every tensor
+        that is missing or has the wrong shape."""
         mp = cls.__new__(cls)
         mp._hold(cfg, params, momentum)
         return mp
 
     def _hold(self, cfg: ModelConfig, params: dict[str, np.ndarray], momentum: dict[str, np.ndarray]) -> None:
-        """Keep copies of the arrays a model of cfg.phase holds, with names
-        and shapes taken from cfg."""
+        """Keep the arrays a model of cfg.phase holds, with names and shapes
+        taken from cfg. Nothing writes a parameter or momentum array in place
+        (AdamW and the EMA rebind .data), so they need not be copies."""
         foreign = PHASE_ONLY["finetune" if cfg.phase == "pretrain" else "pretrain"]
         shapes = {name: shape for name, shape, _ in _layout(cfg) if not name.startswith(foreign)}
         mirrored = [n for n in shapes if cfg.phase == "pretrain" and n.startswith(MOMENTUM_PREFIXES)]
@@ -197,8 +198,8 @@ class ModelParams:
         if bad:
             raise ShapeError(f"offending tensors: {bad}")
         self.cfg = cfg
-        self.params: dict[str, Tensor] = {n: Tensor(params[n].copy(), requires_grad=True) for n in shapes}
-        self.momentum: dict[str, Tensor] = {n: Tensor(momentum[n].copy()) for n in mirrored}
+        self.params: dict[str, Tensor] = {n: Tensor(params[n], requires_grad=True) for n in shapes}
+        self.momentum: dict[str, Tensor] = {n: Tensor(momentum[n]) for n in mirrored}
 
     def source(self, use_momentum: bool) -> dict[str, Tensor]:
         return self.momentum if use_momentum else self.params
@@ -209,10 +210,6 @@ class ModelParams:
 
 
 # ---- building blocks -----------------------------------------------------
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return x @ w + b
 
 
 def attention(
@@ -255,18 +252,12 @@ def attention(
             k, v = concat([cached[0], k], axis=2), concat([cached[1], v], axis=2)
         if cache is not None:
             cache[prefix] = (k, v)
-    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(hd))
-    if bias is not None:
-        scores = scores + bias
-    probs = softmax(scores, axis=-1)
-    if capture is not None:
-        capture.append(probs)
-    out = (probs @ v).transpose((0, 2, 1, 3)).reshape(b, Lq, d)
+    out = scaled_dot_product_attention(q, k, v, bias, capture)
     return linear(out, P[f"{prefix}.wo"], P[f"{prefix}.ob"])
 
 
 def _mlp(x: Tensor, P: dict[str, Tensor], p: str) -> Tensor:
-    return linear(linear(x, P[f"{p}.mlp.w1"], P[f"{p}.mlp.b1"]).gelu(), P[f"{p}.mlp.w2"], P[f"{p}.mlp.b2"])
+    return mlp(x, P[f"{p}.mlp.w1"], P[f"{p}.mlp.b1"], P[f"{p}.mlp.w2"], P[f"{p}.mlp.b2"])
 
 
 def _ln(x: Tensor, P: dict[str, Tensor], name: str) -> Tensor:

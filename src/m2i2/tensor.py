@@ -8,8 +8,20 @@ visited tensor, so intermediate activations (e.g. captured attention maps)
 expose gradients too, not just leaf parameters.
 
 Everything is float64. Any forward result containing NaN/Inf raises
-NumericsError instead of propagating silently. Inside ``no_grad()`` no
-tape is recorded: every result is a parentless constant.
+NumericsError instead of propagating silently; a fused op also checks the
+values it computes inside its one node. Inside ``no_grad()`` no tape is
+recorded: every result is a parentless constant.
+
+Besides the primitive ops, three fused ops each record one node for a
+transformer block's hot path: ``linear``, ``scaled_dot_product_attention``
+and ``mlp``. Each evaluates the same numpy expressions, in the same order
+and on the same operand layouts, as the chain of primitive ops it stands
+for, so its results and gradients are bitwise those of that chain.
+
+Gradient ownership: a first gradient that is a fresh float64 array is kept
+as ``.grad`` without a copy, so a ``.grad`` may be the very array another
+tensor's ``.grad`` is. No code may therefore write into a ``.grad`` (or an
+array passed to a backward closure) in place; rebind it instead.
 """
 
 from __future__ import annotations
@@ -68,8 +80,7 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"], backward) -> "Tensor":
-        if not np.all(np.isfinite(data)):
-            raise NumericsError("operation produced non-finite values")
+        _finite(data, "operation")
         if _grad_enabled and any(p.requires_grad for p in parents):
             return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
         return Tensor(data)
@@ -161,16 +172,10 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         """GELU, tanh approximation (the same formula the gradient checks use)."""
-        x = self.data
-        # x * x * x, not x**3: numpy has no fast path for that exponent
-        inner = GELU_C * (x + 0.044715 * (x * x * x))
-        t = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + t)
+        out_data, t = _gelu(self.data)
 
         def bwd(g, a=self, t=t):
-            x = a.data
-            dinner = GELU_C * (1.0 + 3 * 0.044715 * x**2)
-            _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
+            _accum(a, _gelu_grad(a.data, t, g))
 
         return Tensor._make(out_data, (self,), bwd)
 
@@ -248,10 +253,7 @@ class Tensor:
         out_data = np.matmul(self.data, other.data)
 
         def bwd(g, a=self, b=other):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+            _matmul_grads(a, b, g)
 
         return Tensor._make(out_data, (self, other), bwd)
 
@@ -287,12 +289,30 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add g to t.grad. A first g that is a fresh float64 array becomes
+    t.grad as it is: it may be another tensor's .grad too, which is safe
+    only because no code writes into a .grad in place. A view (or any other
+    g) is copied, since whoever owns its memory may still change it."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        owned = type(g) is np.ndarray and g.base is None and g.dtype == np.float64
+        t.grad = g if owned else np.array(g, dtype=np.float64)
     else:
         t.grad = t.grad + g
+
+
+def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Accumulate the gradients of a @ b into whichever side needs one."""
+    if a.requires_grad:
+        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+    if b.requires_grad:
+        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+
+
+def _finite(data: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(data)):
+        raise NumericsError(f"{what} produced non-finite values")
 
 
 def _is_advanced(key) -> bool:
@@ -318,18 +338,53 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, ts, bwd)
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Numerically stable softmax along axis (max-subtraction); a fresh array."""
+    p = x - x.max(axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
+    return p
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    return p * (g - (g * p).sum(axis=axis, keepdims=True))
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` (max-subtraction)."""
     if x.shape == () or x.shape[axis] == 0:
         raise ShapeError(f"softmax over empty axis {axis} of shape {x.shape}")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = _softmax(x.data, axis)
 
     def bwd(g, a=x, p=p):
-        _accum(a, p * (g - (g * p).sum(axis=axis, keepdims=True)))
+        _accum(a, _softmax_grad(p, g, axis))
 
     return Tensor._make(p, (x,), bwd)
+
+
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU (tanh approximation) of x, and the tanh its gradient reuses."""
+    # x * x * x, not x**3: numpy has no fast path for that exponent
+    t = np.tanh(GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g times GELU's derivative at x, given the forward's tanh t; grouped
+    as g * (0.5*(1+t) + 0.5*x*(1-t*t) * GELU_C*(1+3*0.044715*x*x))."""
+    dinner = x * x
+    dinner *= 3 * 0.044715
+    dinner += 1.0
+    dinner *= GELU_C
+    slope = t * t
+    np.subtract(1.0, slope, out=slope)
+    slope *= 0.5 * x
+    slope *= dinner
+    d = t + 1.0
+    d *= 0.5
+    d += slope
+    d *= g
+    return d
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -382,3 +437,95 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         _accum(a, g * d / b)
 
     return Tensor._make(np.asarray(out_data), (logits,), bwd)
+
+
+def _check_linear(x_shape: tuple[int, ...], w: Tensor, b: Tensor) -> None:
+    if w.ndim != 2 or x_shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs [..., n] @ [n, m] + [m], got {x_shape} @ {w.shape} + {b.shape}")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one tape node; w is [n, m] and b [m]."""
+    _check_linear(x.shape, w, b)
+    out_data = np.matmul(x.data, w.data)
+    out_data += b.data
+
+    def bwd(g, x=x, w=w, b=b):
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
+        _matmul_grads(x, w, g)
+
+    return Tensor._make(out_data, (x, w, b), bwd)
+
+
+def scaled_dot_product_attention(
+    q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None, capture: list | None = None
+) -> Tensor:
+    """softmax(q kᵀ / sqrt(hd) + bias) v with the heads merged back, as one
+    tape node: q [b, h, Lq, hd] and k, v [b, h, Lk, hd] give [b, Lq, h*hd].
+
+    bias is an additive mask broadcastable to [b, h, Lq, Lk]. capture, when
+    given, receives the probabilities as a tensor of their own, which then
+    sits between the scores and the output so that a loss may read it.
+    """
+    if q.ndim != 4 or k.shape != v.shape or k.shape[:2] + k.shape[3:] != q.shape[:2] + q.shape[3:] or not k.shape[2]:
+        raise ShapeError(f"attention needs [b, h, L, hd] heads and a key, got q {q.shape}, k {k.shape}, v {v.shape}")
+    b, h, Lq, hd = q.shape
+    scale = 1.0 / math.sqrt(hd)
+    scores = np.matmul(q.data, k.data.transpose((0, 1, 3, 2)))
+    scores *= scale
+    if bias is not None:
+        scores += bias
+    _finite(scores, "attention scores")
+    p = _softmax(scores, -1)
+    out_data = np.matmul(p, v.data).transpose((0, 2, 1, 3)).reshape(b, Lq, h * hd)
+
+    def probs_bwd(gp, q=q, k=k, p=p):
+        gs = _softmax_grad(p, gp, -1)
+        gs *= scale
+        if q.requires_grad:
+            _accum(q, np.matmul(gs, k.data))
+        if k.requires_grad:
+            _accum(k, np.matmul(np.swapaxes(q.data, -1, -2), gs).transpose((0, 1, 3, 2)))
+
+    if capture is None:
+        parents, probs_grad = (q, k, v), probs_bwd
+    else:
+        probs = Tensor._make(p, (q, k), probs_bwd)
+        capture.append(probs)
+        parents, probs_grad = (probs, v), lambda gp: _accum(probs, gp)
+
+    def bwd(g, v=v, p=p):
+        g = g.reshape(b, Lq, h, hd).transpose((0, 2, 1, 3))
+        if q.requires_grad or k.requires_grad:
+            probs_grad(np.matmul(g, np.swapaxes(v.data, -1, -2)))
+        if v.requires_grad:
+            _accum(v, np.matmul(np.swapaxes(p, -1, -2), g))
+
+    return Tensor._make(out_data, parents, bwd)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear -> GELU -> linear as one tape node; its backward reuses the
+    forward's hidden pre-activation and tanh."""
+    _check_linear(x.shape, w1, b1)
+    _check_linear(x.shape[:-1] + w1.shape[1:], w2, b2)
+    hidden = np.matmul(x.data, w1.data)
+    hidden += b1.data
+    _finite(hidden, "MLP hidden layer")
+    act, t = _gelu(hidden)
+    out_data = np.matmul(act, w2.data)
+    out_data += b2.data
+
+    def bwd(g, x=x, w1=w1, b1=b1, w2=w2, b2=b2):
+        if b2.requires_grad:
+            _accum(b2, _unbroadcast(g, b2.shape))
+        if w2.requires_grad:
+            _accum(w2, _unbroadcast(np.matmul(np.swapaxes(act, -1, -2), g), w2.shape))
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            gh = _gelu_grad(hidden, t, np.matmul(g, np.swapaxes(w2.data, -1, -2)))
+            if b1.requires_grad:
+                _accum(b1, _unbroadcast(gh, b1.shape))
+            _matmul_grads(x, w1, gh)
+
+    return Tensor._make(out_data, (x, w1, b1, w2, b2), bwd)

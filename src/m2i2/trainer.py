@@ -80,7 +80,9 @@ def adamw_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Decoupled weight decay, then bias-corrected Adam, in place."""
+    """Decoupled weight decay, then bias-corrected Adam. Each parameter and
+    moment is rebound to a new array, never written in place: a restored
+    model shares its arrays with the checkpoint it came from."""
     state.t += 1
     t = state.t
     for name, p in mp.params.items():
@@ -226,18 +228,16 @@ def _section(arrays: dict[str, np.ndarray], kind: str) -> dict[str, np.ndarray]:
 
 
 def restore_model(ckpt: Checkpoint, cfg: TrainConfig) -> tuple[ModelParams, AdamState, FeatureQueue | None]:
-    """Rebuild model/optimizer/queue state exactly as saved."""
+    """Rebuild model/optimizer/queue state exactly as saved. The model and
+    the Adam moments hold the checkpoint's own arrays; the queue slots,
+    which enqueue writes in place, are copies."""
     try:
         mp = ModelParams.from_arrays(
             cfg.model_config(), _section(ckpt.arrays, "param"), _section(ckpt.arrays, "mom")
         )
     except ShapeError as e:
         raise CheckpointError(f"checkpoint incompatible with config; {e}") from e
-    adam = AdamState(
-        m={name: a.copy() for name, a in _section(ckpt.arrays, "adam_m").items()},
-        v={name: a.copy() for name, a in _section(ckpt.arrays, "adam_v").items()},
-        t=ckpt.meta["adam_t"],
-    )
+    adam = AdamState(m=_section(ckpt.arrays, "adam_m"), v=_section(ckpt.arrays, "adam_v"), t=ckpt.meta["adam_t"])
     queue = None
     if ckpt.meta["queue"] is not None:
         queue = FeatureQueue(**ckpt.meta["queue"])

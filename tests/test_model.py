@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from m2i2 import model
 from m2i2.errors import ConfigError, ContractError
 from m2i2.gradcheck import E2E_TOL, OP_TOL, fd_grad, probe_param_errs, rel_err
 from m2i2.model import (
+    NEG_BIAS,
     ModelConfig,
     ModelParams,
     decode_answer,
@@ -14,9 +18,10 @@ from m2i2.model import (
     interpolate_positional,
     itm_logits,
     mlm_logits,
+    pad_bias,
     project_itc,
 )
-from m2i2.tensor import Tensor, cross_entropy
+from m2i2.tensor import Tensor, cross_entropy, linear, mlp, no_grad, scaled_dot_product_attention, softmax
 from m2i2.text import BOS, CLS, PAD
 
 
@@ -299,3 +304,132 @@ class TestEndToEndGradients:
             return cross_entropy(itm_logits(mp, fused[:, 0, :]), labels)
 
         assert probe_param_errs(mp, loss, probes, np.random.default_rng(5), n_probe=8) < E2E_TOL
+
+
+# ---- fused ops against the primitive chains they stand for ----------------
+
+
+def composite_linear(x, w, b):
+    return x @ w + b
+
+
+def composite_attention(q, k, v, bias=None, capture=None):
+    b, h, Lq, hd = q.shape
+    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(hd))
+    if bias is not None:
+        scores = scores + bias
+    probs = softmax(scores, axis=-1)
+    if capture is not None:
+        capture.append(probs)
+    return (probs @ v).transpose((0, 2, 1, 3)).reshape(b, Lq, h * hd)
+
+
+def composite_mlp(x, w1, b1, w2, b2):
+    return (x @ w1 + b1).gelu() @ w2 + b2
+
+
+def use_composite_ops(monkeypatch):
+    monkeypatch.setattr(model, "linear", composite_linear)
+    monkeypatch.setattr(model, "scaled_dot_product_attention", composite_attention)
+    monkeypatch.setattr(model, "mlp", composite_mlp)
+
+
+@pytest.mark.parametrize("case", ["self-attention-causal", "cross-attention-pad", "mlp"])
+def test_fused_op_matches_its_composite_chain_bitwise(case):
+    b, L, S, d, heads = 3, 5, 7, 8, 2
+
+    def run(fused):
+        rng = np.random.default_rng(3)
+
+        def leaf(*shape):
+            return Tensor(rng.normal(size=shape), requires_grad=True)
+
+        x = leaf(b, L, d)
+        if case == "mlp":
+            inputs = [x, leaf(d, 4 * d), leaf(4 * d), leaf(4 * d, d), leaf(d)]
+            out = (mlp if fused else composite_mlp)(*inputs)
+        else:
+            lin = linear if fused else composite_linear
+            core = scaled_dot_product_attention if fused else composite_attention
+            ws = [leaf(*shape) for _ in range(4) for shape in ((d, d), (d,))]
+            if case == "cross-attention-pad":
+                src = leaf(b, S, d)
+                ids = rng.integers(7, 30, size=(b, S))
+                ids[0, 4:] = ids[2, 6:] = PAD
+                bias = pad_bias(ids)
+            else:
+                src = x
+                bias = np.where(np.tril(np.ones((L, L))) > 0, 0.0, NEG_BIAS)[None, None]
+
+            def split(t):
+                return t.reshape(b, t.shape[1], heads, d // heads).transpose((0, 2, 1, 3))
+
+            q, k, v = (split(lin(t, w, wb)) for t, w, wb in ((x, *ws[0:2]), (src, *ws[2:4]), (src, *ws[4:6])))
+            out = lin(core(q, k, v, bias), *ws[6:8])
+            inputs = [x, src, q, k, v, *ws]
+        (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+        return [out.data] + [t.grad for t in inputs]
+
+    fused, composite = run(True), run(False)
+    for i, (a, c) in enumerate(zip(fused, composite)):
+        assert np.array_equal(a, c), i
+
+
+def _training_outputs(mp, ft_mp):
+    """Every loss head's output and every parameter gradient of one pass."""
+    rng = np.random.default_rng(5)
+    ids = rng.integers(7, 32, size=(3, 8))
+    ids[:, 0] = CLS
+    ids[1, 5:] = PAD
+    vis, msk = np.tile(np.array([0, 2]), (3, 1)), np.tile(np.array([1, 3]), (3, 1))
+    patches = rng.random((3, 2, mp.cfg.patch_dim))
+    outs, cap = [], []
+    img = encode_image(mp, patches, vis)
+    txt = encode_text(mp, ids)
+    fused = fuse(mp, txt, img, ids, capture=cap)
+    outs.append(decode_image(mp, img, vis, msk))
+    outs.append(project_itc(mp, img[:, 0, :], "img"))
+    outs.append(project_itc(mp, txt[:, 0, :], "txt"))
+    outs.append(itm_logits(mp, fused[:, 0, :]))
+    outs.append(mlm_logits(mp, fused, np.array([0, 1, 2]), np.array([2, 1, 4])))
+    ft_fused = fuse(ft_mp, encode_text(ft_mp, ids), encode_image(ft_mp, patches, vis), ids)
+    outs.append(decode_answer(ft_mp, ft_fused, ids, np.array([[BOS, 8, 9], [BOS, 10, 11], [BOS, 12, 13]])))
+    loss = sum(((o * Tensor(rng.normal(size=o.shape))).sum() for o in outs + cap), Tensor(0.0))
+    loss.backward()
+    grads = [t.grad for m in (mp, ft_mp) for t in m.params.values()]
+    return [o.data for o in outs + cap] + [c.grad for c in cap] + grads
+
+
+def test_model_matches_the_composite_ops_bitwise(monkeypatch):
+    cfg = dict(depth_img_enc=2, depth_txt_enc=2, depth_fusion=2, depth_img_dec=2, depth_ans_dec=2)
+
+    def run():
+        pre = ModelParams(tiny_cfg(**cfg), np.random.default_rng(0))
+        ft = ModelParams(tiny_cfg(phase="finetune", **cfg), np.random.default_rng(0))
+        return _training_outputs(pre, ft)
+
+    fused = run()
+    use_composite_ops(monkeypatch)
+    composite = run()
+    assert len(fused) == len(composite)
+    for i, (a, c) in enumerate(zip(fused, composite)):
+        assert (a is None and c is None) or np.array_equal(a, c), i
+    assert sum(a is None for a in fused) == 1  # itc.log_temp: no ITC loss here
+
+
+def test_cached_decoding_matches_the_composite_ops_bitwise(ft_mp, monkeypatch):
+    ids = rand_ids(3, 8)
+    ids[2, 4:] = PAD
+    patches = RNG.random((3, 4, 16))
+    prefix = np.array([[BOS, 8, 9, 10], [BOS, 11, 12, 13], [BOS, 14, 15, 16]])
+
+    def run():
+        with no_grad():
+            fused = fuse(ft_mp, encode_text(ft_mp, ids), encode_image(ft_mp, patches, np.tile(np.arange(4), (3, 1))), ids)
+            cache: dict = {}
+            return [decode_answer(ft_mp, fused, ids, prefix[:, :n], cache=cache).data for n in range(1, 5)]
+
+    fused = run()
+    use_composite_ops(monkeypatch)
+    for step, (a, c) in enumerate(zip(fused, run())):
+        assert np.array_equal(a, c), step

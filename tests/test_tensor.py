@@ -1,6 +1,8 @@
 import ast
+import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +14,13 @@ from m2i2.tensor import (
     concat,
     cross_entropy,
     layer_norm,
+    linear,
+    mlp,
     no_grad,
+    scaled_dot_product_attention,
     softmax,
 )
+from m2i2.trainer import clip_global_norm
 
 from m2i2.gradcheck import OP_TOL, check_grad, op_checks
 
@@ -80,6 +86,26 @@ class TestMatmul:
         loss.backward()
         const, live = (left, right) if const_left else (right, left)
         assert len(products) == 1 and const.grad is None and live.grad is not None
+
+
+def test_gelu_and_softmax_keep_their_written_formulas_bitwise():
+    # the fused MLP and attention share these formulas, partly written in
+    # place; they must round exactly as the expressions below do
+    x0, g = rand(6, 9) * 3, rand(6, 9)
+    x = Tensor(x0.copy(), requires_grad=True)
+    out = x.gelu()
+    (out * Tensor(g)).sum().backward()
+    t = np.tanh(tensor_mod.GELU_C * (x0 + 0.044715 * (x0 * x0 * x0)))
+    dinner = tensor_mod.GELU_C * (1.0 + 3 * 0.044715 * x0**2)
+    assert np.array_equal(out.data, 0.5 * x0 * (1.0 + t))
+    assert np.array_equal(x.grad, g * (0.5 * (1.0 + t) + 0.5 * x0 * (1.0 - t * t) * dinner))
+    x = Tensor(x0.copy(), requires_grad=True)
+    p = softmax(x, axis=-1)
+    (p * Tensor(g)).sum().backward()
+    e = np.exp(x0 - x0.max(axis=-1, keepdims=True))
+    p0 = e / e.sum(axis=-1, keepdims=True)
+    assert np.array_equal(p.data, p0)
+    assert np.array_equal(x.grad, p0 * (g - (g * p0).sum(axis=-1, keepdims=True)))
 
 
 class TestSoftmax:
@@ -215,6 +241,25 @@ class TestBackward:
         y.backward()
         assert abs(x.grad - 7.0) < 1e-12
 
+    def test_shared_first_gradient_survives_clipping(self):
+        # a fresh first gradient is kept, not copied: both leaves of the sum
+        # hold the same array, and clipping must rebind rather than scale it
+        # in place, or the shared array would be scaled twice
+        a, b = Tensor(rand(3, 4), requires_grad=True), Tensor(rand(3, 4), requires_grad=True)
+        (a + b).sum().backward()
+        assert a.grad is b.grad
+        norm = clip_global_norm(SimpleNamespace(params={"a": a, "b": b}), 1.0)
+        assert norm == math.sqrt(24)
+        for t in (a, b):
+            assert np.array_equal(t.grad, np.full((3, 4), 1.0 / norm))
+
+    def test_view_gradient_is_copied(self):
+        x = Tensor(rand(3, 4), requires_grad=True)
+        y = x.reshape(4, 3)
+        (y * Tensor(C43)).sum().backward()
+        assert np.array_equal(x.grad, C43.reshape(3, 4))
+        assert x.grad.base is None and not np.shares_memory(x.grad, y.grad)
+
 
 C34 = rand(3, 4)
 C43 = rand(4, 3)
@@ -261,6 +306,22 @@ class TestNumerics:
     def test_overflow_is_an_error(self):
         with pytest.raises(NumericsError):
             Tensor(1e300) * Tensor(1e300)
+
+    def test_fused_ops_check_their_inner_values(self):
+        # one score overflows to -inf: the softmax gives it weight 0, so the
+        # output is finite and only a check on the scores can see it
+        q, k, v = np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 2)), rand(1, 1, 3, 2)
+        q[0, 0, 0, 0], k[0, 0, 0, 0] = 1e200, -1e200
+        with np.errstate(over="ignore"):
+            scores = q[0, 0] @ k[0, 0].T
+            assert np.isneginf(scores[0, 0]) and np.isfinite(scores[0, 1:]).all()
+            with pytest.raises(NumericsError, match="attention scores"):
+                scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v))
+        w1, w2 = np.full((2, 3), 1e200), rand(3, 2)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match="MLP hidden"):
+            mlp(Tensor(np.full((4, 2), 1e200)), Tensor(w1), Tensor(np.zeros(3)), Tensor(w2), Tensor(np.zeros(2)))
+        with np.errstate(over="ignore"), pytest.raises(NumericsError):
+            linear(Tensor(np.full((4, 2), 1e200)), Tensor(w1), Tensor(np.zeros(3)))
 
 
 class TestNoGrad:

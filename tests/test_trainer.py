@@ -11,7 +11,7 @@ from m2i2 import model, trainer
 from m2i2.config import preset
 from m2i2.errors import CheckpointError, ConfigError
 from m2i2.model import ModelParams
-from m2i2.momentum import FeatureQueue, enqueue
+from m2i2.momentum import FeatureQueue, enqueue, momentum_update
 from m2i2.objectives import itm_loss, mlm_loss, pair_negatives
 from m2i2.synth import generate_captions, generate_vqa
 from m2i2.tensor import concat
@@ -253,9 +253,13 @@ def test_checkpoint_header_lists_every_array_in_order(tmp_path):
     assert raw[16 + mlen :] == payload
 
 
-def test_restore_draws_nothing_and_copies(tmp_path, monkeypatch):
+def test_restore_draws_nothing_and_copies_only_the_queue(tmp_path, monkeypatch):
+    # parameters, momentum and Adam moments are the loaded arrays themselves,
+    # since AdamW and the EMA rebind them; enqueue writes the queue slots in
+    # place, so those are copies
     cfg, mp, *_rest, path = _ckpt_fixture(tmp_path)
     ckpt = load_checkpoint(path)
+    saved = {key: a.copy() for key, a in ckpt.arrays.items()}
 
     def no_draw(*args, **kwargs):
         raise AssertionError("restore_model drew random values")
@@ -269,7 +273,22 @@ def test_restore_draws_nothing_and_copies(tmp_path, monkeypatch):
     restored |= {"queue/img": q2.img_slots, "queue/txt": q2.txt_slots}
     assert set(restored) == set(ckpt.arrays)
     for key, a in restored.items():
-        assert np.array_equal(a, ckpt.arrays[key]) and not np.shares_memory(a, ckpt.arrays[key]), key
+        assert np.array_equal(a, ckpt.arrays[key]), key
+        if key.startswith("queue/"):
+            assert not np.shares_memory(a, ckpt.arrays[key]), key
+        else:
+            assert a is ckpt.arrays[key], key
+
+    # a training step on the restored state leaves the loaded arrays as read
+    for t in mp2.params.values():
+        t.grad = np.ones_like(t.data)
+    clip_global_norm(mp2, 1.0)
+    adamw_step(mp2, adam2, lr=0.1, weight_decay=0.1)
+    momentum_update(mp2, 0.5)
+    enqueue(q2, saved["queue/img"][:2], saved["queue/txt"][:2])
+    assert not np.array_equal(mp2.params["itm.w"].data, saved["param/itm.w"])
+    for key, a in ckpt.arrays.items():
+        assert np.array_equal(a, saved[key]), key
 
 
 class _FailingFile:

@@ -88,17 +88,17 @@ def op_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
         ("indexing", lambda t: (t[np.array([0, 2]), 1:] ** 2.0).sum(), r(3, 4)),
         ("concat", lambda t: (concat([t, t * 0.5], axis=1) * Tensor(np.concatenate([w34, w34], axis=1))).sum(), r(3, 4)),
     ]
-    # the fused ops, each input cut from one probe vector; attention runs
-    # with and without a PAD mask, and with a loss on its captured probabilities
+    # the fused ops, each input cut from one probe vector; attention (2 heads, Lq != Lk, so with its head
+    # split and merge) runs with and without a PAD mask, and with a loss on its captured probabilities
     lin = ((3, 4), (4, 5), (5,))
-    heads = ((2, 2, 3, 2), (2, 2, 4, 2), (2, 2, 4, 2))
+    qkv = ((2, 3, 4), (2, 4, 4), (2, 4, 4))
     ffn = ((3, 4), (4, 6), (6,), (6, 4), (4,))
     pad = np.where(np.array([[0, 0, 0, 1], [0, 0, 1, 1]]) > 0, -1e9, 0.0)[:, None, None, :]
     w234, w2234 = r(2, 3, 4), r(2, 2, 3, 4)
 
     def attend(t, bias=None, capture=False):
         cap = [] if capture else None
-        loss = (scaled_dot_product_attention(*unpack(t, *heads), bias, cap) * Tensor(w234)).sum()
+        loss = (scaled_dot_product_attention(*unpack(t, *qkv), 2, bias, cap) * Tensor(w234)).sum()
         return loss + (cap[0] * Tensor(w2234)).sum() if capture else loss
 
     cases += [

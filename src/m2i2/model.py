@@ -224,40 +224,28 @@ def attention(
 ) -> Tensor:
     """Multi-head scaled dot-product attention; pre-normalized input expected.
 
-    bias is an additive attention mask broadcastable to [b, h, Lq, Lk];
-    kv switches to cross-attention. capture, when given, receives the
+    The [b, L, dim] q, k and v projections go to the attention op as they
+    are. bias is an additive attention mask broadcastable to [b, heads, Lq,
+    Lk]; kv switches to cross-attention. capture, when given, receives the
     post-softmax attention tensor. cache, when given, keeps this call's
-    split keys and values under prefix for the next call: self-attention
-    appends the rows of x to the cached ones, so x holds only new
-    positions; cross-attention projects kv on the first call only.
+    [b, Lk, dim] keys and values under prefix for the next call:
+    self-attention appends the rows of x to the cached ones, so x holds only
+    new positions; cross-attention projects kv on the first call only.
     """
-    b, Lq, d = x.shape
-    hd = d // heads
     src = kv if kv is not None else x
-    if src.shape[-1] != d:
-        raise ContractError(f"stream dims differ: {d} vs {src.shape[-1]}")
-    Lk = src.shape[1]
-
-    def split(t: Tensor, L: int) -> Tensor:
-        return t.reshape(b, L, heads, hd).transpose((0, 2, 1, 3))
-
-    q = split(linear(x, P[f"{prefix}.wq"], P[f"{prefix}.qb"]), Lq)
+    q = linear(x, P[f"{prefix}.wq"], P[f"{prefix}.qb"])
     cached = cache.get(prefix) if cache is not None else None
     if kv is not None and cached is not None:
         k, v = cached
     else:
-        k = split(linear(src, P[f"{prefix}.wk"], P[f"{prefix}.kb"]), Lk)
-        v = split(linear(src, P[f"{prefix}.wv"], P[f"{prefix}.vb"]), Lk)
+        k = linear(src, P[f"{prefix}.wk"], P[f"{prefix}.kb"])
+        v = linear(src, P[f"{prefix}.wv"], P[f"{prefix}.vb"])
         if cached is not None:
-            k, v = concat([cached[0], k], axis=2), concat([cached[1], v], axis=2)
+            k, v = concat([cached[0], k], axis=1), concat([cached[1], v], axis=1)
         if cache is not None:
             cache[prefix] = (k, v)
-    out = scaled_dot_product_attention(q, k, v, bias, capture)
+    out = scaled_dot_product_attention(q, k, v, heads, bias, capture)
     return linear(out, P[f"{prefix}.wo"], P[f"{prefix}.ob"])
-
-
-def _mlp(x: Tensor, P: dict[str, Tensor], p: str) -> Tensor:
-    return mlp(x, P[f"{p}.mlp.w1"], P[f"{p}.mlp.b1"], P[f"{p}.mlp.w2"], P[f"{p}.mlp.b2"])
 
 
 def _ln(x: Tensor, P: dict[str, Tensor], name: str) -> Tensor:
@@ -283,16 +271,9 @@ def transformer_stack(
         x = x + attention(_ln(x, P, f"{p}.ln1"), P, f"{p}.attn", heads, bias=self_bias, cache=cache)
         if memory is not None:
             x = x + attention(
-                _ln(x, P, f"{p}.ln_x"),
-                P,
-                f"{p}.xattn",
-                heads,
-                bias=memory_bias,
-                kv=memory,
-                capture=capture,
-                cache=cache,
+                _ln(x, P, f"{p}.ln_x"), P, f"{p}.xattn", heads, bias=memory_bias, kv=memory, capture=capture, cache=cache
             )
-        x = x + _mlp(_ln(x, P, f"{p}.ln2"), P, p)
+        x = x + mlp(_ln(x, P, f"{p}.ln2"), *(P[f"{p}.mlp.{w}"] for w in ("w1", "b1", "w2", "b2")))
     return _ln(x, P, f"{prefix}.ln_f")
 
 

@@ -18,7 +18,7 @@ and ``mlp``. Each evaluates the same numpy expressions, in the same order
 and on the same operand layouts, as the chain of primitive ops it stands
 for, so its results and gradients are bitwise those of that chain.
 
-Gradient ownership: a first gradient that is a fresh float64 array is kept
+Gradient ownership: a first gradient that is fresh (see ``_accum``) is kept
 as ``.grad`` without a copy, so a ``.grad`` may be the very array another
 tensor's ``.grad`` is. No code may therefore write into a ``.grad`` (or an
 array passed to a backward closure) in place; rebind it instead.
@@ -288,15 +288,16 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add g to t.grad. A first g that is a fresh float64 array becomes
-    t.grad as it is: it may be another tensor's .grad too, which is safe
-    only because no code writes into a .grad in place. A view (or any other
-    g) is copied, since whoever owns its memory may still change it."""
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add g to t.grad. A first g that is fresh (a float64 array that owns
+    its memory, or any g the caller made for t alone) becomes t.grad as it
+    is: it may be another tensor's .grad too, which is safe only because no
+    code writes into a .grad in place. Any other g is copied, since whoever
+    owns its memory may still change it."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        owned = type(g) is np.ndarray and g.base is None and g.dtype == np.float64
+        owned = fresh or type(g) is np.ndarray and g.base is None and g.dtype == np.float64
         t.grad = g if owned else np.array(g, dtype=np.float64)
     else:
         t.grad = t.grad + g
@@ -459,34 +460,42 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def scaled_dot_product_attention(
-    q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None, capture: list | None = None
+    q: Tensor, k: Tensor, v: Tensor, heads: int, bias: np.ndarray | None = None, capture: list | None = None
 ) -> Tensor:
-    """softmax(q kᵀ / sqrt(hd) + bias) v with the heads merged back, as one
-    tape node: q [b, h, Lq, hd] and k, v [b, h, Lk, hd] give [b, Lq, h*hd].
+    """softmax(q kᵀ / sqrt(hd) + bias) v in heads of hd = d / heads, as one
+    tape node that alone knows the head layout: q [b, Lq, d] and k, v
+    [b, Lk, d] give [b, Lq, d], and each gets one [b, L, d] gradient of its own.
 
-    bias is an additive mask broadcastable to [b, h, Lq, Lk]. capture, when
-    given, receives the probabilities as a tensor of their own, which then
-    sits between the scores and the output so that a loss may read it.
+    bias is an additive mask broadcastable to [b, heads, Lq, Lk]. capture,
+    when given, receives the probabilities as a tensor of their own, which
+    then sits between the scores and the output so that a loss may read it.
     """
-    if q.ndim != 4 or k.shape != v.shape or k.shape[:2] + k.shape[3:] != q.shape[:2] + q.shape[3:] or not k.shape[2]:
-        raise ShapeError(f"attention needs [b, h, L, hd] heads and a key, got q {q.shape}, k {k.shape}, v {v.shape}")
-    b, h, Lq, hd = q.shape
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or k.shape[::2] != q.shape[::2] or not k.shape[1] or q.shape[2] % heads:
+        raise ShapeError(f"attention needs [b, L, d] q, k = v, Lk > 0, {heads} heads dividing d; got {q.shape}, {k.shape}, {v.shape}")
+    b, _, d = q.shape
+    hd = d // heads
+
+    def merge(x: np.ndarray) -> np.ndarray:  # [b, heads, L, hd] -> [b, L, d], in x's memory or a copy
+        return x.transpose((0, 2, 1, 3)).reshape(b, -1, d)
+
+    qh, kh, vh = (t.data.reshape(b, -1, heads, hd).transpose((0, 2, 1, 3)) for t in (q, k, v))
     scale = 1.0 / math.sqrt(hd)
-    scores = np.matmul(q.data, k.data.transpose((0, 1, 3, 2)))
+    scores = np.matmul(qh, kh.transpose((0, 1, 3, 2)))
     scores *= scale
     if bias is not None:
         scores += bias
     _finite(scores, "attention scores")
     p = _softmax(scores, -1)
-    out_data = np.matmul(p, v.data).transpose((0, 2, 1, 3)).reshape(b, Lq, h * hd)
+    out_data = merge(np.matmul(p, vh))
 
     def probs_bwd(gp, q=q, k=k, p=p):
         gs = _softmax_grad(p, gp, -1)
         gs *= scale
         if q.requires_grad:
-            _accum(q, np.matmul(gs, k.data))
+            _accum(q, merge(np.matmul(gs, kh)), fresh=True)
         if k.requires_grad:
-            _accum(k, np.matmul(np.swapaxes(q.data, -1, -2), gs).transpose((0, 1, 3, 2)))
+            # the [b, Lk, d] transpose of qᵀ g, kept d-major: linear's bias sum reads that order
+            _accum(k, np.matmul(np.swapaxes(qh, -1, -2), gs).reshape(b, d, -1).transpose((0, 2, 1)), fresh=True)
 
     if capture is None:
         parents, probs_grad = (q, k, v), probs_bwd
@@ -496,11 +505,11 @@ def scaled_dot_product_attention(
         parents, probs_grad = (probs, v), lambda gp: _accum(probs, gp)
 
     def bwd(g, v=v, p=p):
-        g = g.reshape(b, Lq, h, hd).transpose((0, 2, 1, 3))
+        g = g.reshape(b, -1, heads, hd).transpose((0, 2, 1, 3))
         if q.requires_grad or k.requires_grad:
-            probs_grad(np.matmul(g, np.swapaxes(v.data, -1, -2)))
+            probs_grad(np.matmul(g, np.swapaxes(vh, -1, -2)))
         if v.requires_grad:
-            _accum(v, np.matmul(np.swapaxes(p, -1, -2), g))
+            _accum(v, merge(np.matmul(np.swapaxes(p, -1, -2), g)), fresh=True)
 
     return Tensor._make(out_data, parents, bwd)
 

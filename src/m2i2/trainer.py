@@ -190,7 +190,10 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint: magic, u32 version, u64 header length, a JSON
     header with an "arrays" table of [name, shape], then the arrays' <f8
     data back to back in table order. A malformed, truncated or padded file
-    raises CheckpointError before any array is allocated."""
+    raises CheckpointError before any array is allocated; so does a header
+    that lacks a field, lists a name twice, or holds a queue whose counters
+    do not fit its slots: capacity rows, a write_ptr below capacity, and
+    filled at capacity or, before the queue first wraps, at write_ptr."""
     with open(path, "rb") as f:
         if f.read(4) != CKPT_MAGIC:
             raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
@@ -203,8 +206,15 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError(f"{path} is truncated in its header")
             meta = json.loads(f.read(hlen).decode("utf-8"))
             names, shapes = zip(*meta.pop("arrays"))
-            if not all(type(d) is int and d >= 0 for shape in shapes for d in shape):
+            if not all(type(d) is int and d >= 0 for shape in shapes for d in shape) or len(set(names)) < len(names):
                 raise CheckpointError(f"{path} has a malformed array table")
+            if not {"config", "step", "epoch", "adam_t", "queue", "vocab"} <= meta.keys():
+                raise CheckpointError(f"{path} lacks a header field; it holds {sorted(meta)}")
+            queue, table = meta["queue"], dict(zip(names, shapes))
+            if queue is not None:
+                cap, ptr, slots = queue["capacity"], queue["write_ptr"], [queue["capacity"], queue["proj_dim"]]
+                if not table.get("queue/img") == table.get("queue/txt") == slots or not 0 <= ptr < cap or queue["filled"] not in (ptr, cap):
+                    raise CheckpointError(f"{path} has a queue {queue} that does not fit its slots")
             listed = 8 * sum(math.prod(shape) for shape in shapes)
             if listed != data_bytes:
                 raise CheckpointError(f"{path} holds {data_bytes} data bytes; its table lists {listed}")
@@ -228,27 +238,27 @@ def _section(arrays: dict[str, np.ndarray], kind: str) -> dict[str, np.ndarray]:
 
 
 def restore_model(ckpt: Checkpoint, cfg: TrainConfig) -> tuple[ModelParams, AdamState, FeatureQueue | None]:
-    """Rebuild model/optimizer/queue state exactly as saved. The model and
-    the Adam moments hold the checkpoint's own arrays; the queue slots,
-    which enqueue writes in place, are copies."""
+    """Rebuild model/optimizer/queue state exactly as saved, or raise
+    CheckpointError. The model and Adam moments hold the checkpoint's own
+    arrays; the queue slots, which enqueue writes in place, are copies."""
     try:
         mp = ModelParams.from_arrays(
             cfg.model_config(), _section(ckpt.arrays, "param"), _section(ckpt.arrays, "mom")
         )
-    except ShapeError as e:
-        raise CheckpointError(f"checkpoint incompatible with config; {e}") from e
-    adam = AdamState(m=_section(ckpt.arrays, "adam_m"), v=_section(ckpt.arrays, "adam_v"), t=ckpt.meta["adam_t"])
-    queue = None
-    if ckpt.meta["queue"] is not None:
-        queue = FeatureQueue(**ckpt.meta["queue"])
-        queue.img_slots = ckpt.arrays["queue/img"].copy()
-        queue.txt_slots = ckpt.arrays["queue/txt"].copy()
+        adam = AdamState(m=_section(ckpt.arrays, "adam_m"), v=_section(ckpt.arrays, "adam_v"), t=ckpt.meta["adam_t"])
+        queue = None
+        if ckpt.meta["queue"] is not None:
+            queue = FeatureQueue(**ckpt.meta["queue"])
+            queue.img_slots = ckpt.arrays["queue/img"].copy()
+            queue.txt_slots = ckpt.arrays["queue/txt"].copy()
+    except (ShapeError, KeyError) as e:
+        raise CheckpointError(f"checkpoint incompatible with config or incomplete; {e}") from e
     return mp, adam, queue
 
 
 def init_from_pretrained(mp: ModelParams, ckpt: Checkpoint) -> None:
-    """Copy the tensors a finetune model shares with a pretrain checkpoint
-    (encoders and fusion); the answer decoder stays fresh.
+    """Hold a pretrain checkpoint's own arrays, not copies (AdamW rebinds
+    them), as the shared encoders and fusion; the answer decoder stays fresh.
 
     Image positional embeddings are bilinearly interpolated when the
     finetuning resolution differs from the pretraining one.
@@ -268,7 +278,7 @@ def init_from_pretrained(mp: ModelParams, ckpt: Checkpoint) -> None:
         elif src.shape != t.data.shape:
             bad.append(name)
         else:
-            t.data = src.copy()
+            t.data = src
     if bad:
         raise CheckpointError(f"pretrain checkpoint incompatible; offending tensors: {bad}")
 

@@ -313,15 +313,21 @@ def composite_linear(x, w, b):
     return x @ w + b
 
 
-def composite_attention(q, k, v, bias=None, capture=None):
-    b, h, Lq, hd = q.shape
+def composite_attention(q, k, v, heads, bias=None, capture=None):
+    b, Lq, d = q.shape
+    hd = d // heads
+
+    def split(t):
+        return t.reshape(b, t.shape[1], heads, hd).transpose((0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)
     scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(hd))
     if bias is not None:
         scores = scores + bias
     probs = softmax(scores, axis=-1)
     if capture is not None:
         capture.append(probs)
-    return (probs @ v).transpose((0, 2, 1, 3)).reshape(b, Lq, h * hd)
+    return (probs @ v).transpose((0, 2, 1, 3)).reshape(b, Lq, d)
 
 
 def composite_mlp(x, w1, b1, w2, b2):
@@ -360,12 +366,8 @@ def test_fused_op_matches_its_composite_chain_bitwise(case):
             else:
                 src = x
                 bias = np.where(np.tril(np.ones((L, L))) > 0, 0.0, NEG_BIAS)[None, None]
-
-            def split(t):
-                return t.reshape(b, t.shape[1], heads, d // heads).transpose((0, 2, 1, 3))
-
-            q, k, v = (split(lin(t, w, wb)) for t, w, wb in ((x, *ws[0:2]), (src, *ws[2:4]), (src, *ws[4:6])))
-            out = lin(core(q, k, v, bias), *ws[6:8])
+            q, k, v = (lin(t, w, wb) for t, w, wb in ((x, *ws[0:2]), (src, *ws[2:4]), (src, *ws[4:6])))
+            out = lin(core(q, k, v, heads, bias), *ws[6:8])
             inputs = [x, src, q, k, v, *ws]
         (out * Tensor(rng.normal(size=out.shape))).sum().backward()
         return [out.data] + [t.grad for t in inputs]
@@ -373,6 +375,27 @@ def test_fused_op_matches_its_composite_chain_bitwise(case):
     fused, composite = run(True), run(False)
     for i, (a, c) in enumerate(zip(fused, composite)):
         assert np.array_equal(a, c), i
+
+
+def _tape(out):
+    """The functions that recorded each tape node behind out, sorted."""
+    ops, seen, stack = [], set(), [out]
+    while stack:
+        t = stack.pop()
+        if t._backward is not None and id(t) not in seen:
+            seen.add(id(t))
+            ops.append(t._backward.__qualname__.split(".<locals>")[0])
+            stack.extend(t._parents)
+    return sorted(ops)
+
+
+@pytest.mark.parametrize("capture", [None, []], ids=["plain", "capture"])
+def test_attention_records_only_projections_and_the_attention_op(mp, capture):
+    # the attention op owns the head layout: no reshape or transpose nodes
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 5, mp.cfg.dim)))
+    out = model.attention(x, mp.params, "txt_enc.0.attn", mp.cfg.heads, capture=capture)
+    core = ["scaled_dot_product_attention"] * (1 if capture is None else 2)
+    assert _tape(out) == sorted(["linear"] * 4 + core)
 
 
 def _training_outputs(mp, ft_mp):

@@ -310,18 +310,29 @@ class TestNumerics:
     def test_fused_ops_check_their_inner_values(self):
         # one score overflows to -inf: the softmax gives it weight 0, so the
         # output is finite and only a check on the scores can see it
-        q, k, v = np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 2)), rand(1, 1, 3, 2)
-        q[0, 0, 0, 0], k[0, 0, 0, 0] = 1e200, -1e200
+        q, k, v = np.zeros((1, 2, 2)), np.zeros((1, 3, 2)), rand(1, 3, 2)
+        q[0, 0, 0], k[0, 0, 0] = 1e200, -1e200
         with np.errstate(over="ignore"):
-            scores = q[0, 0] @ k[0, 0].T
+            scores = q[0] @ k[0].T
             assert np.isneginf(scores[0, 0]) and np.isfinite(scores[0, 1:]).all()
             with pytest.raises(NumericsError, match="attention scores"):
-                scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v))
+                scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), 1)
         w1, w2 = np.full((2, 3), 1e200), rand(3, 2)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match="MLP hidden"):
             mlp(Tensor(np.full((4, 2), 1e200)), Tensor(w1), Tensor(np.zeros(3)), Tensor(w2), Tensor(np.zeros(2)))
         with np.errstate(over="ignore"), pytest.raises(NumericsError):
             linear(Tensor(np.full((4, 2), 1e200)), Tensor(w1), Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize(
+    "k_shape, v_shape, heads",
+    [((2, 5, 4), (2, 4, 4), 2), ((2, 5, 4), (2, 5, 4), 3)],
+    ids=["k-and-v-differ", "d-not-divisible-by-heads"],
+)
+def test_attention_rejects_mismatched_shapes(k_shape, v_shape, heads):
+    q, k, v = Tensor(rand(2, 3, 4)), Tensor(rand(*k_shape)), Tensor(rand(*v_shape))
+    with pytest.raises(ShapeError, match=f"{heads} heads"):
+        scaled_dot_product_attention(q, k, v, heads)
 
 
 class TestNoGrad:

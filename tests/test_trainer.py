@@ -211,9 +211,19 @@ def _malformed(raw: bytes, section: str) -> bytes:
         return raw + b"\0"
     if section == "oversized meta length":
         return raw[:8] + struct.pack("<Q", 2**63) + raw[16:]
-    if section == "oversized table":
-        # 8 TiB listed: allocating it before checking the file would fail
-        header["arrays"][0][1] = [2**40]
+    if section == "oversized table" or section.startswith(("no ", "queue ", "name ")):
+        if section == "oversized table":
+            # 8 TiB listed: allocating it before checking the file would fail
+            header["arrays"][0][1] = [2**40]
+        elif section == "name listed twice":
+            # the table's byte count still agrees, so only a check on the names sees it
+            header["arrays"][1][0] = header["arrays"][0][0]
+        elif section.startswith("no "):
+            del header[section[3:]]
+        else:
+            # the fixture's 16-slot queue holds 5 entries: write_ptr = filled = 5
+            _, key, value = section.split()
+            header["queue"][key] = int(value)
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[payload:]
     cut = {
@@ -232,7 +242,9 @@ def _malformed(raw: bytes, section: str) -> bytes:
     "section",
     [
         "magic", "version", "meta length", "meta", "payload start", "mid-array", "one byte short",
-        "one trailing byte", "oversized meta length", "oversized table",
+        "one trailing byte", "oversized meta length", "oversized table", "name listed twice",
+        "no step", "no epoch", "no adam_t", "no queue", "no vocab",
+        "queue capacity 3", "queue write_ptr 16", "queue write_ptr 2", "queue filled 3", "queue filled 17",
     ],
 )
 def test_truncated_checkpoint_raises_checkpoint_error(tmp_path, section):
@@ -251,6 +263,19 @@ def test_checkpoint_header_lists_every_array_in_order(tmp_path):
     assert "arrays" not in ckpt.meta
     payload = b"".join(ckpt.arrays[name].astype("<f8").tobytes() for name, _ in header["arrays"])
     assert raw[16 + mlen :] == payload
+
+
+def test_restore_raises_checkpoint_error_for_what_it_lacks(tmp_path):
+    # a Checkpoint built or edited in memory skips load_checkpoint's checks
+    cfg, *_rest, path = _ckpt_fixture(tmp_path)
+    ckpt = load_checkpoint(path)
+    del ckpt.arrays["queue/txt"]
+    with pytest.raises(CheckpointError, match="queue/txt"):
+        restore_model(ckpt, cfg)
+    ckpt = load_checkpoint(path)
+    del ckpt.meta["adam_t"]
+    with pytest.raises(CheckpointError, match="adam_t"):
+        restore_model(ckpt, cfg)
 
 
 def test_restore_draws_nothing_and_copies_only_the_queue(tmp_path, monkeypatch):
@@ -350,12 +375,25 @@ def test_init_from_pretrained_keeps_answer_decoder_fresh(tmp_path):
     cfg, mp, adam, q, vocab, path = _ckpt_fixture(tmp_path)
     fresh = tiny_params(tiny_cfg(seed=1, phase="finetune"), seed=99)
     before = {k: t.data.copy() for k, t in fresh.params.items()}
-    init_from_pretrained(fresh, load_checkpoint(path))
+    ckpt = load_checkpoint(path)
+    saved = {key: a.copy() for key, a in ckpt.arrays.items()}
+    init_from_pretrained(fresh, ckpt)
     for name, t in fresh.params.items():
         if name in mp.params:
             assert np.array_equal(t.data, mp.params[name].data), name
+            # the checkpoint's own array, as restore_model holds it
+            assert t.data is ckpt.arrays[f"param/{name}"], name
         else:
             assert name.startswith("ans_") and np.array_equal(t.data, before[name]), name
+
+    # a training step rebinds the shared tensors and leaves the arrays as read
+    for t in fresh.params.values():
+        t.grad = np.ones_like(t.data)
+    clip_global_norm(fresh, 1.0)
+    adamw_step(fresh, AdamState(), lr=0.1, weight_decay=0.1)
+    assert not np.array_equal(fresh.params["tok_embed"].data, saved["param/tok_embed"])
+    for key, a in ckpt.arrays.items():
+        assert np.array_equal(a, saved[key]), key
 
 
 def test_init_from_pretrained_rejects_incompatible_checkpoints(tmp_path):

@@ -16,8 +16,8 @@ from .config import TrainConfig
 from .errors import ConfigError
 from .model import ModelParams, decode_answer, encode_full_images, encode_text, fuse
 from .synth import VqaSample
-from .tensor import Tensor, cross_entropy, no_grad
-from .text import BOS, EOS, Vocab, detokenize, tokenize
+from .tensor import Tensor, concat, cross_entropy, no_grad
+from .text import BOS, EOS, PAD, Vocab, detokenize, tokenize
 from .vision import Image, load_image, write_image
 
 
@@ -65,21 +65,29 @@ def _fuse_batch(
     vocab: Vocab,
     capture: list | None = None,
 ):
-    """Fused features and token ids of a batch, in batch order.
+    """Fused features [b, max_text_len, dim] and token ids [b, max_text_len]
+    of a batch, in batch order; the features are zero at PAD positions.
 
     Each distinct Image object goes through the image encoder once, and each
     distinct question through the text encoder once; their rows are then
-    gathered into batch order. Rows never mix and text keeps its full
-    max_text_len padding, so every row is bitwise the one a batch of one
-    gives.
+    gathered into batch order. Text and fusion run on the ids cut after the
+    batch's longest question (so a captured map is [b, heads, Lq, S]), with
+    max_text_len key slots in self-attention (see encode_text). Rows never
+    mix, so every non-PAD row is bitwise the one a batch of one gives.
     """
     uniq_imgs, img_rows = _distinct(images, key=id)
     uniq_qs, q_rows = _distinct(questions)
     img_feats = _in_order(encode_full_images(mp, uniq_imgs), img_rows)
     uniq_ids = np.stack([tokenize(q, vocab, mp.cfg.max_text_len) for q in uniq_qs])
+    # two columns at least: numpy multiplies a one-row matrix on another
+    # BLAS path, whose bits differ from a row of a longer product
+    width = max(2, 1 + np.flatnonzero((uniq_ids != PAD).any(axis=0))[-1])
+    cut = uniq_ids[:, :width]
+    fused = fuse(mp, _in_order(encode_text(mp, cut), q_rows), img_feats, cut[q_rows], capture=capture)
     ids = uniq_ids[q_rows]
-    fused = fuse(mp, _in_order(encode_text(mp, uniq_ids), q_rows), img_feats, ids, capture=capture)
-    return fused, ids
+    # back to full width for the decoder's memory, PAD rows (masked there) zeroed
+    tail = Tensor(np.zeros((len(ids), ids.shape[1] - width, mp.cfg.dim)))
+    return concat([fused, tail], axis=1) * (ids != PAD)[:, :, None], ids
 
 
 def _distinct(items: list, key=lambda x: x) -> tuple[list, np.ndarray]:
@@ -174,8 +182,10 @@ def evaluate(
     """Exact-match accuracy after normalization, split by answer type.
 
     Decodes cfg.batch_size questions per generate_answers pass, without a
-    tape; predictions equal per-question generate_answer calls. Heatmaps
-    (attention_map) still build a tape, since grad weighting needs backward.
+    tape; each pass encodes and fuses its questions cut after the longest
+    one (see _fuse_batch), and predictions equal per-question
+    generate_answer calls. Heatmaps (attention_map) still build a tape,
+    since grad weighting needs backward.
     """
     if answer_type_filter == "free":
         samples = [s for s in samples if s.question_form == "freeform"]

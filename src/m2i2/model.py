@@ -226,7 +226,9 @@ def attention(
 
     The [b, L, dim] q, k and v projections go to the attention op as they
     are. bias is an additive attention mask broadcastable to [b, heads, Lq,
-    Lk]; kv switches to cross-attention. capture, when given, receives the
+    Lk]; kv switches to cross-attention. A self-attention bias may have more
+    key columns than there are keys; those slots must be masked in every row,
+    and get zero keys and values. capture, when given, receives the
     post-softmax attention tensor. cache, when given, keeps this call's
     [b, Lk, dim] keys and values under prefix for the next call:
     self-attention appends the rows of x to the cached ones, so x holds only
@@ -244,6 +246,15 @@ def attention(
             k, v = concat([cached[0], k], axis=1), concat([cached[1], v], axis=1)
         if cache is not None:
             cache[prefix] = (k, v)
+    n, slots = k.shape[1], 0 if bias is None else bias.shape[-1]
+    if kv is None and slots > n:
+        # ids cut after a batch's longest question: the key slots past x's rows
+        # hold zeros, and a masked slot gets probability exactly 0, so the
+        # softmax and probs @ v sum the same terms in the same order as at full width
+        if not (bias[..., n:] <= NEG_BIAS).all():
+            raise ContractError(f"key slots {n}..{slots - 1} lack rows of x but are not masked in every row")
+        zeros = Tensor(np.zeros((k.shape[0], slots - n, k.shape[2])))
+        k, v = concat([k, zeros], axis=1), concat([v, zeros], axis=1)
     out = scaled_dot_product_attention(q, k, v, heads, bias, capture)
     return linear(out, P[f"{prefix}.wo"], P[f"{prefix}.ob"])
 
@@ -354,23 +365,30 @@ def decode_image(
     return linear(flat, P["mim.w"], P["mim.b"]).reshape(b, k, cfg.patch_dim)
 
 
-def pad_bias(ids: np.ndarray) -> np.ndarray:
-    """Additive attention bias masking PAD key positions; [b,1,1,L]."""
-    return np.where(ids == 0, NEG_BIAS, 0.0)[:, None, None, :]
+def pad_bias(ids: np.ndarray, slots: int) -> np.ndarray:
+    """Additive attention bias masking PAD key positions of ids [b, L];
+    [b,1,1,slots], its key columns past L masked too."""
+    L = ids.shape[1]
+    if slots < L:
+        raise ShapeError(f"ids of width {L} exceed {slots} key slots")
+    bias = np.full((len(ids), slots), NEG_BIAS)
+    bias[:, :L][ids != 0] = 0.0
+    return bias[:, None, None, :]
 
 
 def encode_text(mp: ModelParams, ids: np.ndarray, use_momentum: bool = False) -> Tensor:
-    """Text encoder; ids [b, L] with CLS first, PAD tail. Returns [b, L, dim]."""
+    """Text encoder; ids [b, L] with CLS first, PAD tail, L <= max_text_len.
+    Returns [b, L, dim]. Self-attention keeps max_text_len key slots, so ids
+    cut after a batch's longest question, to two columns or more, give
+    bitwise the full-width rows at every non-PAD position."""
     P = mp.source(use_momentum)
     cfg = mp.cfg
     ids = np.asarray(ids, dtype=np.int64)
     if ids.max(initial=0) >= cfg.vocab_size:
         raise IndexError(f"token id >= vocab size {cfg.vocab_size}")
-    L = ids.shape[1]
-    x = P["tok_embed"][ids] + P["txt_pos"][:L]
-    return transformer_stack(
-        x, P, "txt_enc", cfg.depth_txt_enc, cfg.heads, self_bias=pad_bias(ids)
-    )
+    bias = pad_bias(ids, cfg.max_text_len)
+    x = P["tok_embed"][ids] + P["txt_pos"][: ids.shape[1]]
+    return transformer_stack(x, P, "txt_enc", cfg.depth_txt_enc, cfg.heads, self_bias=bias)
 
 
 def fuse(
@@ -381,9 +399,11 @@ def fuse(
     capture: list | None = None,
 ) -> Tensor:
     """Multimodal encoder: text-stream self-attention + cross-attention to
-    image features. Returns fused text-stream features [b, L, dim]; row 0
-    (CLS) is the joint representation. capture collects per-layer
-    cross-attention tensors [b, heads, L, S]."""
+    image features. text_ids [b, Lq] may be cut after the batch's longest
+    question as in encode_text, with the same bitwise guarantee. Returns
+    fused text-stream features [b, Lq, dim]; row 0 (CLS) is the joint
+    representation. capture collects per-layer cross-attention tensors
+    [b, heads, Lq, S]."""
     cfg = mp.cfg
     if text_features.shape[-1] != image_features.shape[-1]:
         raise ContractError("text/image feature dims differ")
@@ -393,7 +413,7 @@ def fuse(
         "fusion",
         cfg.depth_fusion,
         cfg.heads,
-        self_bias=pad_bias(text_ids),
+        self_bias=pad_bias(text_ids, cfg.max_text_len),
         memory=image_features,
         capture=capture,
     )

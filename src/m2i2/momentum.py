@@ -7,7 +7,7 @@ see only the filled prefix; no zero-vector padding is ever exposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,16 +19,19 @@ from .model import ModelParams
 class FeatureQueue:
     capacity: int
     proj_dim: int
-    img_slots: np.ndarray = field(init=False)
-    txt_slots: np.ndarray = field(init=False)
     write_ptr: int = 0
     filled: int = 0
+    # [capacity, proj_dim] each, held as given; zeros when not given
+    img_slots: np.ndarray | None = None
+    txt_slots: np.ndarray | None = None
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ContractError("queue capacity must be >= 1")
-        self.img_slots = np.zeros((self.capacity, self.proj_dim))
-        self.txt_slots = np.zeros((self.capacity, self.proj_dim))
+        if self.img_slots is None:
+            self.img_slots = np.zeros((self.capacity, self.proj_dim))
+        if self.txt_slots is None:
+            self.txt_slots = np.zeros((self.capacity, self.proj_dim))
 
     def negatives(self) -> tuple[np.ndarray, np.ndarray]:
         """Populated (img, txt) slots, storage order. Shape [filled, d]."""

@@ -312,7 +312,7 @@ def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray) -> None:
 
 
 def _finite(data: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericsError(f"{what} produced non-finite values")
 
 

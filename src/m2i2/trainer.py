@@ -191,9 +191,11 @@ def load_checkpoint(path) -> Checkpoint:
     header with an "arrays" table of [name, shape], then the arrays' <f8
     data back to back in table order. A malformed, truncated or padded file
     raises CheckpointError before any array is allocated; so does a header
-    that lacks a field, lists a name twice, or holds a queue whose counters
-    do not fit its slots: capacity rows, a write_ptr below capacity, and
-    filled at capacity or, before the queue first wraps, at write_ptr."""
+    that lacks a field, lists a name twice, holds a step, epoch, adam_t or
+    queue counter that is not an int or a vocab that is not a list of str,
+    or holds a queue whose counters do not fit its slots: capacity rows, a
+    write_ptr below capacity, and filled at capacity or, before the queue
+    first wraps, at write_ptr."""
     with open(path, "rb") as f:
         if f.read(4) != CKPT_MAGIC:
             raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
@@ -210,10 +212,16 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError(f"{path} has a malformed array table")
             if not {"config", "step", "epoch", "adam_t", "queue", "vocab"} <= meta.keys():
                 raise CheckpointError(f"{path} lacks a header field; it holds {sorted(meta)}")
-            queue, table = meta["queue"], dict(zip(names, shapes))
+            queue, table, vocab = meta["queue"], dict(zip(names, shapes)), meta["vocab"]
+            # type(c) is int, not isinstance: a bool is an int to isinstance
+            counters = [meta[key] for key in ("step", "epoch", "adam_t")]
+            if not all(type(c) is int for c in counters) or type(vocab) is not list or not all(type(t) is str for t in vocab):
+                raise CheckpointError(f"{path} has a step, epoch or adam_t that is not an int, or a vocab that is not a list of str")
             if queue is not None:
-                cap, ptr, slots = queue["capacity"], queue["write_ptr"], [queue["capacity"], queue["proj_dim"]]
-                if not table.get("queue/img") == table.get("queue/txt") == slots or not 0 <= ptr < cap or queue["filled"] not in (ptr, cap):
+                cap, dim, ptr, filled = counters = [queue.get(key) for key in ("capacity", "proj_dim", "write_ptr", "filled")]
+                if len(queue) != len(counters) or not all(type(c) is int for c in counters):
+                    raise CheckpointError(f"{path} has a malformed queue {queue}")
+                if not table.get("queue/img") == table.get("queue/txt") == [cap, dim] or not 0 <= ptr < cap or filled not in (ptr, cap):
                     raise CheckpointError(f"{path} has a queue {queue} that does not fit its slots")
             listed = 8 * sum(math.prod(shape) for shape in shapes)
             if listed != data_bytes:
@@ -248,9 +256,8 @@ def restore_model(ckpt: Checkpoint, cfg: TrainConfig) -> tuple[ModelParams, Adam
         adam = AdamState(m=_section(ckpt.arrays, "adam_m"), v=_section(ckpt.arrays, "adam_v"), t=ckpt.meta["adam_t"])
         queue = None
         if ckpt.meta["queue"] is not None:
-            queue = FeatureQueue(**ckpt.meta["queue"])
-            queue.img_slots = ckpt.arrays["queue/img"].copy()
-            queue.txt_slots = ckpt.arrays["queue/txt"].copy()
+            img, txt = ckpt.arrays["queue/img"].copy(), ckpt.arrays["queue/txt"].copy()
+            queue = FeatureQueue(**ckpt.meta["queue"], img_slots=img, txt_slots=txt)
     except (ShapeError, KeyError) as e:
         raise CheckpointError(f"checkpoint incompatible with config or incomplete; {e}") from e
     return mp, adam, queue

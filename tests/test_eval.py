@@ -15,10 +15,10 @@ from m2i2.evaluation import (
     write_report,
 )
 from m2i2.errors import ConfigError, ContractError
-from m2i2.model import ModelParams, decode_answer
+from m2i2.model import ModelParams, decode_answer, encode_full_images, encode_text, fuse
 from m2i2.synth import generate_vqa
 from m2i2.tensor import Tensor, cross_entropy
-from m2i2.text import BOS, EOS, build_vocab, detokenize
+from m2i2.text import BOS, EOS, PAD, build_vocab, detokenize, tokenize
 from m2i2.vision import load_image
 
 
@@ -118,6 +118,11 @@ def _eos_biased_model(cfg, imgs, questions, vocab):
     return mp
 
 
+def _question_len(question, cfg, vocab):
+    """The question's token count, CLS included."""
+    return int((tokenize(question, vocab, cfg.max_text_len) != PAD).sum())
+
+
 def test_evaluate_batches_decode_like_single_questions(setup):
     root, samples, cfg, _, vocab = setup
     samples = samples[:7]  # batch_size 4: one full chunk, one partial
@@ -128,6 +133,9 @@ def test_evaluate_batches_decode_like_single_questions(setup):
     single = [generate_answer(mp, cfg, img, q, vocab) for img, q in zip(imgs, questions)]
     lengths = {len(a) for a in single}
     assert 0 in lengths and len(lengths) >= 2
+    # each batch is cut after its longest question, so its shorter ones run beside PAD rows
+    for lo in (0, 4):
+        assert len({_question_len(q, cfg, vocab) for q in questions[lo : lo + 4]}) >= 2
     assert generate_answers(mp, imgs, questions, vocab) == single
     report = evaluate(mp, cfg, samples, root, vocab)
     assert [p["prediction"] for p in report.predictions] == [detokenize(a, vocab) for a in single]
@@ -198,11 +206,26 @@ def test_fuse_batch_encodes_each_distinct_input_once(setup, monkeypatch):
     assert [id(img) for img in seen_imgs] == [id(img) for img in imgs]
     assert len(seen_ids) == len(set(seen_ids)) == 3
     n = cfg.model_config().n_patches
+    lengths = [_question_len(q, cfg, vocab) for q in batch_qs]
+    assert len(set(lengths)) >= 2 and max(lengths) < cfg.max_text_len
     assert len(capture) == cfg.depth_fusion
-    assert all(c.shape == (5, cfg.heads, cfg.max_text_len, 1 + n) for c in capture)
+    # text and fusion run on the ids cut after the longest question
+    assert all(c.shape == (5, cfg.heads, max(lengths), 1 + n) for c in capture)
+    assert fused.shape == (5, cfg.max_text_len, cfg.dim) and ids.shape == (5, cfg.max_text_len)
     for i, (f, row_ids, caps) in enumerate(singles):
         assert np.array_equal(fused.data[i], f) and np.array_equal(ids[i], row_ids)
-        assert all(np.array_equal(c.data[i], one) for c, one in zip(capture, caps))
+        assert not fused.data[i, lengths[i] :].any()
+        # the non-PAD query rows; a batch of one is cut after its own question
+        assert all(np.array_equal(c.data[i, :, : lengths[i]], one[:, : lengths[i]]) for c, one in zip(capture, caps))
+
+
+def test_fuse_batch_matches_full_width_ids_for_a_question_of_cls_alone(setup):
+    root, samples, cfg, mp, vocab = setup
+    img = load_image(root / samples[0].image, channels=1)
+    fused, ids = evaluation._fuse_batch(mp, [img], [""], vocab)
+    assert (ids[0] != PAD).sum() == 1
+    full = fuse(mp, encode_text(mp, ids), encode_full_images(mp, [img]), ids)
+    assert np.array_equal(fused.data[0, 0], full.data[0, 0])
 
 
 def test_evaluate_records_no_tape(setup, monkeypatch):

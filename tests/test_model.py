@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from m2i2 import model
-from m2i2.errors import ConfigError, ContractError
+from m2i2.errors import ConfigError, ContractError, ShapeError
 from m2i2.gradcheck import E2E_TOL, OP_TOL, fd_grad, probe_param_errs, rel_err
 from m2i2.model import (
     NEG_BIAS,
@@ -217,6 +217,44 @@ class TestFuse:
             fuse(mp, encode_text(mp, ids), Tensor(np.zeros((1, 3, 8))), ids)
 
 
+@pytest.mark.parametrize("case", ["mixed lengths", "one without PAD"])
+def test_ids_cut_after_the_longest_question_give_the_full_width_rows_bitwise(case):
+    # self-attention keeps max_text_len key slots, zero past the cut and masked
+    mp = ModelParams(tiny_cfg(depth_txt_enc=2, depth_fusion=2), np.random.default_rng(1))
+    ids = rand_ids(3, 8)
+    ids[0, 3:] = ids[1, 5:] = PAD
+    if case == "mixed lengths":
+        ids[2, 2:] = PAD
+    lengths = (ids != PAD).sum(axis=1)
+    width = lengths.max()
+    assert width == (5 if case == "mixed lengths" else 8)
+    img = encode_image(mp, rand_patches(3, 3, 16), np.tile(np.arange(3), (3, 1)))
+
+    def run(ids):
+        capture = []
+        txt = encode_text(mp, ids)
+        fused = fuse(mp, txt, img, ids, capture=capture)
+        return [txt.data, fused.data] + [np.swapaxes(c.data, 1, 2) for c in capture]  # query rows on axis 1
+
+    full, cut = run(ids), run(ids[:, :width])
+    assert len(full) == 4 and all(c.shape[1] == width for c in cut)
+    for a, c in zip(full, cut):
+        for i, n in enumerate(lengths):
+            assert np.array_equal(a[i, :n], c[i, :n])
+
+
+def test_attention_rejects_a_key_slot_some_row_leaves_unmasked(mp):
+    x = Tensor(RNG.normal(size=(2, 3, 16)))
+    bias = pad_bias(rand_ids(2, 3), 5)
+    assert (bias[..., 3:] == NEG_BIAS).all()
+    model.attention(x, mp.params, "txt_enc.0.attn", 2, bias=bias)
+    bias[1, ..., 4] = 0.0
+    with pytest.raises(ContractError, match="not masked"):
+        model.attention(x, mp.params, "txt_enc.0.attn", 2, bias=bias)
+    with pytest.raises(ShapeError):
+        encode_text(mp, rand_ids(1, 9))
+
+
 class TestDecodeAnswer:
     def _fused(self, mp, b=1):
         ids = rand_ids(b, 8)
@@ -362,7 +400,7 @@ def test_fused_op_matches_its_composite_chain_bitwise(case):
                 src = leaf(b, S, d)
                 ids = rng.integers(7, 30, size=(b, S))
                 ids[0, 4:] = ids[2, 6:] = PAD
-                bias = pad_bias(ids)
+                bias = pad_bias(ids, S)
             else:
                 src = x
                 bias = np.where(np.tril(np.ones((L, L))) > 0, 0.0, NEG_BIAS)[None, None]

@@ -254,6 +254,34 @@ def test_truncated_checkpoint_raises_checkpoint_error(tmp_path, section):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("step", True), ("epoch", "1"), ("adam_t", 5.0), ("vocab", 5), ("vocab", ["<pad>", 1]),
+        ("queue", 5), ("queue/capacity", 16.0), ("queue/write_ptr", False), ("queue/filled", "5"), ("queue/extra", 0),
+    ],
+)
+def test_checkpoint_header_of_the_wrong_type_raises_checkpoint_error(tmp_path, monkeypatch, key, value):
+    # a hand-edited header; the table and data are left whole
+    *_rest, path = _ckpt_fixture(tmp_path)
+    raw = path.read_bytes()
+    mlen, header = _header(raw)
+    field, _, sub = key.partition("/")
+    if sub:
+        header[field][sub] = value
+    else:
+        header[field] = value
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("load_checkpoint allocated an array")
+
+    monkeypatch.setattr(np, "empty", no_alloc)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
 def test_checkpoint_header_lists_every_array_in_order(tmp_path):
     *_rest, path = _ckpt_fixture(tmp_path)
     raw = path.read_bytes()

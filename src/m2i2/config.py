@@ -30,9 +30,6 @@ class TrainConfig(ModelConfig):
     lr_init: float = 1e-3
     lr_final: float = 1e-4
     weight_decay: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip: float = 1.0  # 0 disables (gradient-check mode)
     # masking
     text_mask_rate: float = 0.15
@@ -40,11 +37,6 @@ class TrainConfig(ModelConfig):
     # momentum bank
     momentum_m: float = 0.995
     queue_capacity: int = 512
-    # objective toggles
-    enable_mim: bool = True
-    enable_mlm: bool = True
-    enable_itm: bool = True
-    enable_itc: bool = True
     negative_strategy: str = "uniform"  # uniform | hard
 
     def validate(self) -> "TrainConfig":
@@ -66,24 +58,18 @@ class TrainConfig(ModelConfig):
         for key in ("text_mask_rate", "image_mask_rate"):
             if not 0.0 < getattr(self, key) < 1.0:
                 raise ConfigError(f"{key} must be in (0,1), got {getattr(self, key)}")
-        # every pretrain run builds the queue; with ITC each step enqueues a batch
-        need = self.batch_size if self.enable_itc else 1
-        if self.queue_capacity < need:
-            raise ConfigError(f"queue_capacity must be >= {need}, got {self.queue_capacity}")
+        # hard negatives are drawn from the ITC similarities (ALBEF)
+        if self.negative_strategy == "hard" and not self.enable_itc:
+            raise ConfigError("negative_strategy 'hard' samples from ITC similarities; it needs enable_itc")
+        # only ITC reads the momentum and the queue, which each step fills with a batch
+        if self.enable_itc and self.queue_capacity < self.batch_size:
+            raise ConfigError(f"queue_capacity must be >= {self.batch_size}, got {self.queue_capacity}")
         if self.enable_itc and not 0.0 < self.momentum_m < 1.0:
             raise ConfigError(f"momentum_m must be in (0,1), got {self.momentum_m}")
         return self
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)})
-
-    def enabled(self) -> dict[str, bool]:
-        return {
-            "mim": self.enable_mim,
-            "mlm": self.enable_mlm,
-            "itm": self.enable_itm,
-            "itc": self.enable_itc,
-        }
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -238,7 +238,7 @@ def attention_map(
     Takes the chosen fusion layer's attention from the question CLS row to
     the image patch tokens. With grad_weighted, attention is scaled by the
     positive part of its gradient w.r.t. the generated answer's first-token
-    log-probability before head reduction.
+    log-probability before head reduction. Leaves no gradient on mp.
     """
     capture: list = []
     fused, ids, grid = fuse_question(mp, cfg, img, question, vocab, capture=capture)
@@ -249,9 +249,10 @@ def attention_map(
         logits = decode_answer(mp, fused, ids, np.array([[BOS]]))
         # the first token generate_answer emits, so from the vocab's ids only
         first = int(np.argmax(logits.data[0, -1, : len(vocab)]))
-        mp.zero_grads()
         (-cross_entropy(logits[0, -1:], [first])).backward()
         g = attn.grad if attn.grad is not None else np.zeros(attn.shape)
+        # backward left a gradient on every parameter; none is read
+        mp.zero_grads()
         weighted = attn.data * np.maximum(g, 0.0)
     else:
         weighted = attn.data

@@ -6,9 +6,9 @@ reconstruction decoder, and the causal answer decoder. Plus the projection /
 prediction heads and positional-embedding interpolation for resolution
 changes.
 
-A model holds one phase's parameters. Both phases share the encoders and the
-fusion encoder; pretraining adds the image decoder, the ITC/ITM/MLM/MIM heads
-and a momentum copy, finetuning adds the answer decoder.
+A model holds only what its run trains: the encoders and the fusion encoder,
+the tensors of each pretraining objective that runs or of finetuning (OWNED),
+and, when ITC runs, a momentum copy.
 
 All forward functions are batched ([b, ...]) and pure given (inputs, params),
 so repeated passes are bitwise identical; the one state a call updates is
@@ -23,17 +23,24 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor, concat, layer_norm, linear, mlp, scaled_dot_product_attention
+from .text import BOS, CLS, PAD
 from .vision import Image, augment, patchify, resize_bilinear
 
 NEG_BIAS = -1e9
+MLP_RATIO = 4  # hidden width of every transformer MLP, in multiples of dim
+OBJECTIVES = ("mim", "mlm", "itm", "itc")
 
 
 @dataclass
 class ModelConfig:
-    phase: str = "pretrain"  # pretrain | finetune: which tensors the model holds
+    # the phase and, in pretraining, the objectives decide the tensors held
+    phase: str = "pretrain"  # pretrain | finetune
+    enable_mim: bool = True
+    enable_mlm: bool = True
+    enable_itm: bool = True
+    enable_itc: bool = True
     dim: int = 64
     heads: int = 4
-    mlp_ratio: int = 4
     depth_img_enc: int = 2
     depth_txt_enc: int = 2
     depth_fusion: int = 2
@@ -48,7 +55,7 @@ class ModelConfig:
     proj_dim: int = 32
 
     def __post_init__(self):
-        if self.phase not in PHASE_ONLY:
+        if self.phase not in ("pretrain", "finetune"):
             raise ConfigError(f"unknown phase {self.phase!r}")
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
@@ -57,6 +64,12 @@ class ModelConfig:
         # a text row holds CLS and one token; an answer row BOS and one token
         if self.max_text_len < 2 or self.max_answer_len < 2:
             raise ConfigError("max_text_len and max_answer_len must be >= 2")
+
+    def runs(self, owner: str) -> bool:
+        """Whether this run trains owner, a key of OWNED."""
+        if self.phase == "finetune":
+            return owner == "finetune"
+        return owner != "finetune" and getattr(self, f"enable_{owner}")
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -73,14 +86,18 @@ class ModelConfig:
         return self.patch_size * self.patch_size * self.channels
 
 
-# tensors that only one phase holds; every other tensor is shared by both
-PHASE_ONLY = {
-    "pretrain": ("img_mask_tok", "img_dec_pos", "img_dec.", "itc", "itm.", "mlm.", "mim."),
+# name prefixes of the tensors each objective, and finetuning, owns; a model holds
+# them only when their owner runs, and every other tensor in both phases
+OWNED = {
+    "mim": ("img_mask_tok", "img_dec_pos", "img_dec.", "mim."),
+    "mlm": ("mlm.",),
+    "itm": ("itm.",),
+    "itc": ("itc",),
     "finetune": ("ans_pos", "ans_dec.", "ans_head."),
 }
 
-# names of the sub-networks that keep a momentum copy (plus their embeddings
-# and ITC heads); everything reachable by the momentum ITC forward pass
+# names of the sub-networks that keep a momentum copy when ITC runs (plus
+# their embeddings and ITC heads); everything the momentum ITC forward reaches
 MOMENTUM_PREFIXES = (
     "img_enc.",
     "txt_enc.",
@@ -104,7 +121,7 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndar
 
 
 def _layout(cfg: ModelConfig):
-    """Yields (name, shape, fill) for every tensor of either phase, in draw
+    """Yields (name, shape, fill) for every tensor of any owner, in draw
     order; fill None means a truncated-normal draw."""
     d = cfg.dim
     yield "patch_embed.w", (cfg.patch_dim, d), None
@@ -127,9 +144,9 @@ def _layout(cfg: ModelConfig):
                 for w in ("wq", "wk", "wv", "wo"):
                     yield f"{p}.{att}.{w}", (d, d), None
                     yield f"{p}.{att}.{w[1]}b", (d,), 0.0
-            yield f"{p}.mlp.w1", (d, cfg.mlp_ratio * d), None
-            yield f"{p}.mlp.b1", (cfg.mlp_ratio * d,), 0.0
-            yield f"{p}.mlp.w2", (cfg.mlp_ratio * d, d), None
+            yield f"{p}.mlp.w1", (d, MLP_RATIO * d), None
+            yield f"{p}.mlp.b1", (MLP_RATIO * d,), 0.0
+            yield f"{p}.mlp.w2", (MLP_RATIO * d, d), None
             yield f"{p}.mlp.b2", (d,), 0.0
         yield f"{prefix}.ln_f.g", (d,), 1.0
         yield f"{prefix}.ln_f.b", (d,), 0.0
@@ -158,22 +175,22 @@ def _layout(cfg: ModelConfig):
 
 
 class ModelParams:
-    """Named parameter tensors of one phase; in pretraining, plus a momentum
-    copy of the unimodal subset.
+    """Named parameter tensors of one run (see OWNED); when ITC runs, plus a
+    momentum copy of the unimodal subset.
 
     ModelParams(cfg, rng) draws fresh values; ModelParams.from_arrays holds
     saved ones and draws nothing.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        # the other phase's tensors are drawn too but not kept, so every kept
-        # tensor takes the same values from a given generator in either phase
+        # the tensors of owners that do not run are drawn too but not kept, so
+        # every kept tensor takes the same values from a given generator in any run
         drawn = {
             name: _trunc_normal(rng, shape) if fill is None else np.full(shape, fill)
             for name, shape, fill in _layout(cfg)
         }
         # the momentum copy starts equal to the parameters, in arrays of its own
-        self._hold(cfg, drawn, {n: a.copy() for n, a in drawn.items() if n.startswith(MOMENTUM_PREFIXES)})
+        self._hold(cfg, drawn, {n: a.copy() for n, a in drawn.items() if n.startswith(MOMENTUM_PREFIXES)} if cfg.runs("itc") else {})
 
     @classmethod
     def from_arrays(
@@ -187,12 +204,12 @@ class ModelParams:
         return mp
 
     def _hold(self, cfg: ModelConfig, params: dict[str, np.ndarray], momentum: dict[str, np.ndarray]) -> None:
-        """Keep the arrays a model of cfg.phase holds, with names and shapes
-        taken from cfg. Nothing writes a parameter or momentum array in place
+        """Keep the arrays a model of cfg holds, with names and shapes taken
+        from cfg. Nothing writes a parameter or momentum array in place
         (AdamW and the EMA rebind .data), so they need not be copies."""
-        foreign = PHASE_ONLY["finetune" if cfg.phase == "pretrain" else "pretrain"]
-        shapes = {name: shape for name, shape, _ in _layout(cfg) if not name.startswith(foreign)}
-        mirrored = [n for n in shapes if cfg.phase == "pretrain" and n.startswith(MOMENTUM_PREFIXES)]
+        idle = tuple(p for owner, prefixes in OWNED.items() if not cfg.runs(owner) for p in prefixes)
+        shapes = {name: shape for name, shape, _ in _layout(cfg) if not name.startswith(idle)}
+        mirrored = [n for n in shapes if n.startswith(MOMENTUM_PREFIXES)] if cfg.runs("itc") else []
         bad = [n for n in shapes if n not in params or params[n].shape != shapes[n]]
         bad += [f"momentum {n}" for n in mirrored if n not in momentum or momentum[n].shape != shapes[n]]
         if bad:
@@ -372,7 +389,7 @@ def pad_bias(ids: np.ndarray, slots: int) -> np.ndarray:
     if slots < L:
         raise ShapeError(f"ids of width {L} exceed {slots} key slots")
     bias = np.full((len(ids), slots), NEG_BIAS)
-    bias[:, :L][ids != 0] = 0.0
+    bias[:, :L][ids != PAD] = 0.0
     return bias[:, None, None, :]
 
 
@@ -447,11 +464,9 @@ def decode_answer(
     prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
     if prefix_ids.ndim != 2 or prefix_ids.shape[1] == 0:
         raise ContractError("answer prefix must be a nonempty [b, Lp] id array")
-    from .text import BOS
-
     if (prefix_ids[:, 0] != BOS).any():
         raise ContractError("answer prefix must start with BOS")
-    b, Lp = prefix_ids.shape
+    Lp = prefix_ids.shape[1]
     seen = cache.get("seen", 0) if cache is not None else 0
     if Lp <= seen:
         raise ContractError(f"answer prefix of length {Lp} adds nothing to the {seen} cached positions")
@@ -459,9 +474,8 @@ def decode_answer(
         memory, mem_bias = cache["memory"]
     else:
         memory = concat([fused_context[:, 0:1, :], fused_context], axis=1)
-        mem_bias = np.concatenate(
-            [np.zeros((b, 1)), np.where(text_ids == 0, NEG_BIAS, 0.0)], axis=1
-        )[:, None, None, :]
+        # the fused CLS slot first, never masked
+        mem_bias = pad_bias(np.concatenate([np.full((len(text_ids), 1), CLS), text_ids], axis=1), memory.shape[1])
         if cache is not None:
             cache["memory"] = memory, mem_bias
     causal = np.where(np.tril(np.ones((Lp, Lp))) > 0, 0.0, NEG_BIAS)[None, None, seen:]

@@ -4,25 +4,12 @@ contrastive), their unweighted sum, and the conditional LM finetuning loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
+from .model import OBJECTIVES
 from .momentum import FeatureQueue, check_unit
 from .tensor import Tensor, concat, cross_entropy
-
-OBJECTIVES = ("mim", "mlm", "itm", "itc")
-
-
-@dataclass
-class PretrainLossReport:
-    mim: float = 0.0
-    mlm: float = 0.0
-    itm: float = 0.0
-    itc: float = 0.0
-    total: float = 0.0
-    enabled: tuple[str, ...] = OBJECTIVES
 
 
 def mim_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
@@ -113,17 +100,15 @@ def itc_loss(
     return (i2t + t2i) * 0.5
 
 
-def combined_loss(parts: dict[str, Tensor], enabled: dict[str, bool]) -> tuple[Tensor, PretrainLossReport]:
-    """Unweighted sum of the enabled objective losses."""
-    on = [k for k in OBJECTIVES if enabled.get(k, True)]
-    if not on:
-        raise ConfigError("all pretraining objectives disabled")
-    total = None
-    for k in on:
-        total = parts[k] if total is None else total + parts[k]
-    values = {k: float(parts[k].data) if k in on else 0.0 for k in OBJECTIVES}
-    report = PretrainLossReport(total=float(total.data), enabled=tuple(on), **values)
-    return total, report
+def combined_loss(parts: dict[str, Tensor]) -> Tensor:
+    """Unweighted sum of the losses of the objectives that ran, in
+    OBJECTIVES order."""
+    if not parts or not parts.keys() <= set(OBJECTIVES):
+        raise ConfigError(f"combined_loss needs the losses of some of {OBJECTIVES}, got {sorted(parts)}")
+    total, *rest = [parts[k] for k in OBJECTIVES if k in parts]
+    for loss in rest:
+        total = total + loss
+    return total
 
 
 def cond_lm_loss(answer_logits: Tensor, answer_ids: np.ndarray) -> Tensor:

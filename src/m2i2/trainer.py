@@ -20,7 +20,8 @@ import numpy as np
 from .config import TrainConfig
 from .errors import CheckpointError, ConfigError, ContractError, NumericsError, ShapeError
 from .model import (
-    PHASE_ONLY,
+    OBJECTIVES,
+    OWNED,
     ModelParams,
     decode_answer,
     decode_image,
@@ -248,14 +249,14 @@ def _section(arrays: dict[str, np.ndarray], kind: str) -> dict[str, np.ndarray]:
 def restore_model(ckpt: Checkpoint, cfg: TrainConfig) -> tuple[ModelParams, AdamState, FeatureQueue | None]:
     """Rebuild model/optimizer/queue state exactly as saved, or raise
     CheckpointError. The model and Adam moments hold the checkpoint's own
-    arrays; the queue slots, which enqueue writes in place, are copies."""
+    arrays; the queue, built only when ITC runs, holds copies of the slots."""
     try:
         mp = ModelParams.from_arrays(
             cfg.model_config(), _section(ckpt.arrays, "param"), _section(ckpt.arrays, "mom")
         )
         adam = AdamState(m=_section(ckpt.arrays, "adam_m"), v=_section(ckpt.arrays, "adam_v"), t=ckpt.meta["adam_t"])
         queue = None
-        if ckpt.meta["queue"] is not None:
+        if mp.cfg.runs("itc"):
             img, txt = ckpt.arrays["queue/img"].copy(), ckpt.arrays["queue/txt"].copy()
             queue = FeatureQueue(**ckpt.meta["queue"], img_slots=img, txt_slots=txt)
     except (ShapeError, KeyError) as e:
@@ -275,7 +276,7 @@ def init_from_pretrained(mp: ModelParams, ckpt: Checkpoint) -> None:
     old_grid = ckpt.config.model_config().grid
     bad = []
     for name, t in mp.params.items():
-        if name.startswith(PHASE_ONLY["finetune"]):
+        if name.startswith(OWNED["finetune"]):
             continue
         src = ckpt.arrays.get(f"param/{name}")
         if src is None:
@@ -295,14 +296,23 @@ def init_from_pretrained(mp: ModelParams, ckpt: Checkpoint) -> None:
 
 def _log_through(path, step: int) -> list[str]:
     """The records of the log at path up to and including step; none for a
-    fresh run (step 0), so a resumed log agrees with its checkpoint."""
+    fresh run (step 0), so a resumed log agrees with its checkpoint. A
+    malformed complete line among them raises CheckpointError."""
     kept = []
     if step and os.path.exists(path):
         with open(path, encoding="utf-8") as f:
-            for line in f:
+            for n, line in enumerate(f, 1):
                 # records are in step order; a line cut short by a crash has
                 # no newline and comes after the last checkpoint
-                if not line.endswith("\n") or json.loads(line)["step"] > step:
+                if not line.endswith("\n"):
+                    break
+                try:
+                    at = json.loads(line)["step"]
+                except (ValueError, TypeError, KeyError):
+                    at = None
+                if type(at) is not int:
+                    raise CheckpointError(f"{path} line {n} is not a metrics record with an int step: {line.strip()!r}")
+                if at > step:
                     break
                 kept.append(line)
     return kept
@@ -360,26 +370,25 @@ def pretrain_losses(
     mp: ModelParams,
     cfg: TrainConfig,
     batch: PretrainBatch,
-    queue: FeatureQueue,
+    queue: FeatureQueue | None,
     rng: np.random.Generator,
 ) -> tuple[dict[str, Tensor], tuple[np.ndarray, np.ndarray] | None]:
-    """Forward pass for all enabled objectives.
+    """Forward pass of the objectives that run; queue is None without ITC.
 
-    Returns the loss parts and, when ITC ran, the momentum projections to
-    enqueue after the optimizer step.
+    Returns each objective's loss, keyed by its OBJECTIVES name, and, when
+    ITC ran, the momentum projections to enqueue after the optimizer step.
     """
     b = batch.visible.shape[0]
     img_feats = encode_image(mp, batch.visible, batch.positions)
     txt_feats = encode_text(mp, batch.ids)
-    parts: dict[str, Tensor] = {k: Tensor(0.0) for k in ("mim", "mlm", "itm", "itc")}
+    parts: dict[str, Tensor] = {}
     mom_projs = None
 
     if cfg.enable_mim:
         pred = decode_image(mp, img_feats, batch.positions, batch.mask_positions)
         parts["mim"] = mim_loss(pred, batch.mask_targets)
 
-    img_proj = txt_proj = None
-    if cfg.enable_itc or cfg.negative_strategy == "hard":
+    if cfg.enable_itc:
         img_proj = project_itc(mp, img_feats[:, 0, :], "img")
         txt_proj = project_itc(mp, txt_feats[:, 0, :], "txt")
 
@@ -387,7 +396,7 @@ def pretrain_losses(
         txt_in, img_in, ids_in = txt_feats, img_feats, batch.ids
         if cfg.enable_itm:
             sims = None
-            if cfg.negative_strategy == "hard":
+            if cfg.negative_strategy == "hard":  # validate() requires ITC for it
                 sims = img_proj.data @ txt_proj.data.T
             j = pair_negatives(b, rng, cfg.negative_strategy, sims)
             # rows [:b] pair each image with its own caption and rows [b:]
@@ -434,7 +443,7 @@ def _train(
     """The training loop both phases run; returns the checkpoint path.
 
     texts are the sample strings the text encoder reads. fresh(mp) readies
-    a new run's freshly drawn model and returns its vocab and ITC queue.
+    a new run's drawn model and returns its vocab and ITC queue, or None.
     forward(mp, queue, vocab, samples, images, token_ids, step) takes one
     batch and returns its loss, its log fields and a callable to run after
     the optimizer step.
@@ -479,7 +488,7 @@ def _train(
                 # forward returns, so two steps' graphs are never alive at once
                 del loss
                 grad_norm = clip_global_norm(mp, cfg.grad_clip)
-                adamw_step(mp, adam, lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.adam_eps)
+                adamw_step(mp, adam, lr, cfg.weight_decay)
                 after_step()
                 step += 1
                 wall_ms = round((time.monotonic() - t0) * 1e3, 3)
@@ -510,25 +519,28 @@ def pretrain(
 
     def fresh(mp):
         vocab = build_vocab([s.caption for s in samples], cfg.vocab_size)
-        return vocab, FeatureQueue(cfg.queue_capacity, cfg.proj_dim)
+        return vocab, FeatureQueue(cfg.queue_capacity, cfg.proj_dim) if cfg.enable_itc else None
 
     def forward(mp, queue, vocab, batch_samples, images, token_ids, step):
         rng = np.random.default_rng([cfg.seed, 0x5, step])
         batch = make_pretrain_batch(images, token_ids, cfg, vocab, rng)
         parts, mom_projs = pretrain_losses(mp, cfg, batch, queue, rng)
-        total, report = combined_loss(parts, cfg.enabled())
+        total = combined_loss(parts)
+        # an objective that did not run logs 0.0
+        fields = {k: float(parts[k].data) if k in parts else 0.0 for k in OBJECTIVES}
+        fields["total"] = float(total.data)
+        if not cfg.enable_itc:
+            return total, fields, lambda: None
+        # the temperature this step's ITC ran at and the queue it scored against
+        fields["temp"] = float(np.exp(mp.params["itc.log_temp"].data))
+        fields["queue_fill"] = queue.filled
 
         def after_step():
             lt = mp.params["itc.log_temp"]
             lt.data = np.clip(lt.data, math.log(TEMP_MIN), math.log(TEMP_MAX))
-            if cfg.enable_itc:
-                momentum_update(mp, cfg.momentum_m)
-                enqueue(queue, *mom_projs)
+            momentum_update(mp, cfg.momentum_m)
+            enqueue(queue, *mom_projs)
 
-        fields = {k: getattr(report, k) for k in ("mim", "mlm", "itm", "itc", "total")}
-        # the temperature this step's ITC ran at and the queue it scored against
-        fields["temp"] = float(np.exp(mp.params["itc.log_temp"].data))
-        fields["queue_fill"] = queue.filled
         return total, fields, after_step
 
     return _train(

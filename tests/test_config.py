@@ -51,7 +51,7 @@ def test_validate_itm_needs_pairs():
         dict(negative_strategy="hardest", enable_itm=False),
         dict(phase="finetune", batch_size=1, enable_itm=False),
         dict(queue_capacity=7, batch_size=8),
-        dict(queue_capacity=0, enable_itc=False),
+        dict(negative_strategy="hard", enable_itc=False),
         dict(text_mask_rate=0.0),
         dict(text_mask_rate=1.0),
         dict(image_mask_rate=0.0),
@@ -65,7 +65,7 @@ def test_validate_itm_needs_pairs():
     ],
     ids=[
         "heads", "patch", "negatives", "negatives-no-itm", "batch-no-itm",
-        "queue-below-batch", "queue-empty-no-itc", "text-mask-0", "text-mask-1", "image-mask-0",
+        "queue-below-batch", "hard-negatives-no-itc", "text-mask-0", "text-mask-1", "image-mask-0",
         "image-mask-above-1", "momentum-0", "momentum-1", "text-len-1", "answer-len-1", "epochs-0",
         "epochs-0-finetune",
     ],
@@ -80,8 +80,10 @@ def test_validate_rejects_what_training_cannot_run(overrides):
     [
         dict(phase="finetune", queue_capacity=0, text_mask_rate=0.0, image_mask_rate=1.0, momentum_m=1.0),
         dict(enable_itc=False, queue_capacity=1, momentum_m=1.0),
+        dict(queue_capacity=0, enable_itc=False),
+        dict(negative_strategy="hard", enable_itm=False),
     ],
-    ids=["finetune", "no-itc"],
+    ids=["finetune", "no-itc", "queue-empty-no-itc", "hard-negatives-no-itm"],
 )
 def test_validate_ignores_keys_the_run_never_reads(overrides):
     cfg = TrainConfig(**overrides)

@@ -306,8 +306,11 @@ def test_grad_weighted_map_follows_the_generated_first_token(setup):
         attn = capture[-1]
         rows = (attn.data * np.maximum(-attn.grad, 0.0))[0, :, 0, 1:].mean(axis=0)
         expected = ((rows - rows.min()) / (rows.max() - rows.min())).reshape(grid)
+        assert all(t.grad is not None for t in mp.params.values())
         heat = attention_map(mp, cfg, img, s.question, vocab)
         assert np.array_equal(heat, expected)
+        # it reads only the captured map's gradient and leaves none on the model
+        assert all(t.grad is None for t in mp.params.values())
 
 
 def test_write_heatmap_roundtrip(setup, tmp_path):

@@ -8,6 +8,7 @@ from m2i2.errors import ConfigError, ContractError, ShapeError
 from m2i2.gradcheck import E2E_TOL, OP_TOL, fd_grad, probe_param_errs, rel_err
 from m2i2.model import (
     NEG_BIAS,
+    OWNED,
     ModelConfig,
     ModelParams,
     decode_answer,
@@ -67,6 +68,17 @@ def test_phase_parameter_sets():
     assert {"tok_embed", "img_pos", "fusion.0.xattn.wq"} <= shared
     for name in shared:
         assert np.array_equal(pre.params[name].data, ft.params[name].data), name
+
+
+@pytest.mark.parametrize("off", ["mim", "mlm", "itm", "itc"])
+def test_a_model_holds_only_what_its_objectives_train(off):
+    full = ModelParams(tiny_cfg(), np.random.default_rng(0))
+    part = ModelParams(tiny_cfg(**{f"enable_{off}": False}), np.random.default_rng(0))
+    assert part.params.keys() == {n for n in full.params if not n.startswith(OWNED[off])}
+    for name, t in part.params.items():
+        assert np.array_equal(t.data, full.params[name].data), name
+    # only ITC reads the momentum copy
+    assert part.momentum.keys() == (set() if off == "itc" else full.momentum.keys())
 
 
 def test_unknown_phase_rejected():

@@ -202,30 +202,37 @@ class TestCombinedLoss:
                 zip(("mim", "mlm", "itm", "itc"), (1.0, 2.0, 3.0, 4.0))}
 
     def test_sum(self):
-        total, report = combined_loss(self._parts(), {})
-        assert total.item() == 10.0
-        assert report.total == 10.0
+        assert combined_loss(self._parts()).item() == 10.0
 
     def test_additivity_within_tolerance(self):
         parts = self._parts()
-        total, _ = combined_loss(parts, {})
+        total = combined_loss(parts)
         assert abs(total.item() - sum(p.item() for p in parts.values())) < 1e-12
 
     def test_disabled_excluded(self):
-        total, report = combined_loss(self._parts(), {"mim": False, "itc": False})
-        assert total.item() == 5.0
-        assert report.mim == 0.0 and report.itc == 0.0
-        assert report.enabled == ("mlm", "itm")
+        # only the objectives that ran have a loss
+        parts = self._parts()
+        del parts["mim"], parts["itc"]
+        assert combined_loss(parts).item() == 5.0
+
+    def test_sums_in_objectives_order(self):
+        # float addition does not associate: summed in OBJECTIVES order these
+        # give 1.0, in the dict's order 0.0
+        vals = {"itc": 1.0, "itm": -1e16, "mlm": 1.0, "mim": 1e16}
+        parts = {k: Tensor(v) for k, v in vals.items()}
+        expected = ((vals["mim"] + vals["mlm"]) + vals["itm"]) + vals["itc"]
+        assert combined_loss(parts).item() == expected
 
     def test_all_disabled_rejected(self):
         with pytest.raises(ConfigError):
-            combined_loss(self._parts(), {k: False for k in ("mim", "mlm", "itm", "itc")})
+            combined_loss({})
+        with pytest.raises(ConfigError, match="total"):
+            combined_loss({"mlm": Tensor(1.0), "total": Tensor(1.0)})
 
     def test_gradient_is_sum_of_per_objective_gradients(self):
         x = Tensor(1.5, requires_grad=True)
         parts = {"mim": x * 2.0, "mlm": x * x, "itm": x * 3.0, "itc": x * 0.5}
-        total, _ = combined_loss(parts, {})
-        total.backward()
+        combined_loss(parts).backward()
         assert abs(x.grad - (2.0 + 2 * 1.5 + 3.0 + 0.5)) < 1e-9
 
 

@@ -282,6 +282,18 @@ def test_checkpoint_header_of_the_wrong_type_raises_checkpoint_error(tmp_path, m
         load_checkpoint(path)
 
 
+def test_checkpoint_with_removed_config_keys_raises_checkpoint_error(tmp_path):
+    # as written before these four keys became constants
+    *_rest, path = _ckpt_fixture(tmp_path)
+    raw = path.read_bytes()
+    mlen, header = _header(raw)
+    header["config"].update(mlp_ratio=4, beta1=0.9, beta2=0.999, adam_eps=1e-8)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
+    with pytest.raises(CheckpointError, match=r"\['adam_eps', 'beta1', 'beta2', 'mlp_ratio'\]"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_header_lists_every_array_in_order(tmp_path):
     *_rest, path = _ckpt_fixture(tmp_path)
     raw = path.read_bytes()
@@ -501,6 +513,47 @@ def test_pretrain_resume_bitwise(caption_data, tmp_path):
         assert np.array_equal(a.arrays[key], b.arrays[key]), key
 
 
+ABLATIONS = {
+    "no-itc": dict(enable_itc=False),
+    "mlm-only": dict(enable_mim=False, enable_itm=False, enable_itc=False),
+}
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+def test_ablation_holds_saves_and_resumes_only_what_runs(caption_data, vqa_data, tmp_path, ablation):
+    root, samples = caption_data
+    off = ABLATIONS[ablation]
+    full = pretrain(tiny_cfg(seed=7, epochs=3, **off), samples, root, tmp_path / "full")
+    half = pretrain(tiny_cfg(seed=7, epochs=3, **off), samples, root, tmp_path / "half", stop_after_epoch=0)
+    resumed = pretrain(tiny_cfg(seed=7, epochs=3, **off), samples, root, tmp_path / "half", resume_from=half)
+    a, b = load_checkpoint(full), load_checkpoint(resumed)
+    assert a.step == b.step == 6 and a.arrays.keys() == b.arrays.keys()
+    for key in a.arrays:
+        assert np.array_equal(a.arrays[key], b.arrays[key]), key
+    logs = [strip_wall(read_metrics(tmp_path / run / "metrics.jsonl")) for run in ("full", "half")]
+    assert logs[0] == logs[1]
+
+    # no momentum copy, queue or tensor of an objective that does not run
+    idle = tuple(p for key in off for p in model.OWNED[key.removeprefix("enable_")])
+    assert a.meta["queue"] is None
+    assert not [k for k in a.arrays if k.startswith(("mom/", "queue/")) or k.split("/", 1)[1].startswith(idle)]
+    # the arrays of the same run with all four objectives, less the idle owners'
+    everything = load_checkpoint(pretrain(tiny_cfg(seed=7, epochs=1), samples, root, tmp_path / "all"))
+    kept = {k for k in everything.arrays if not k.startswith(("mom/", "queue/")) and not k.split("/", 1)[1].startswith(idle)}
+    assert a.arrays.keys() == kept
+    for r in logs[0]:
+        assert "temp" not in r and "queue_fill" not in r
+        assert all(r[key.removeprefix("enable_")] == 0.0 for key in off)
+
+    # finetuning starts from the ablation's shared tensors
+    vroot, vsamples = vqa_data
+    ft = load_checkpoint(
+        finetune(tiny_cfg(seed=7, epochs=1, phase="finetune"), vsamples, vroot, tmp_path / "ft", init_checkpoint=full)
+    )
+    assert ft.config.phase == "finetune" and ft.meta["queue"] is None
+    assert all(math.isfinite(r["loss"]) for r in read_metrics(tmp_path / "ft" / "metrics.jsonl"))
+
+
 def test_finetune_resume_bitwise(caption_data, vqa_data, tmp_path):
     croot, csamples = caption_data
     vroot, vsamples = vqa_data
@@ -601,6 +654,19 @@ def test_resume_rewinds_log_to_checkpoint(caption_data, tmp_path):
     assert [r["step"] for r in full] == [1, 2, 3, 4, 5, 6]
 
 
+@pytest.mark.parametrize("line", ["not json", "[1, 2]", '{"step": "1"}', '{"epoch": 0}'])
+def test_resume_from_a_malformed_log_raises_checkpoint_error(caption_data, tmp_path, line):
+    root, samples = caption_data
+    ckpt = pretrain(tiny_cfg(seed=4, epochs=3), samples, root, tmp_path / "run", stop_after_epoch=0)
+    log = tmp_path / "run" / "metrics.jsonl"
+    recs = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    log.write_text(recs[0] + line + "\n" + recs[1], encoding="utf-8")
+    before = log.read_bytes()
+    with pytest.raises(CheckpointError, match=r"metrics\.jsonl line 2"):
+        pretrain(tiny_cfg(seed=4, epochs=3), samples, root, tmp_path / "run", resume_from=ckpt)
+    assert log.read_bytes() == before
+
+
 def test_each_step_frees_the_previous_steps_tape(caption_data, vqa_data, tmp_path, monkeypatch):
     def watched(fn, pick):
         seen = []
@@ -637,6 +703,11 @@ def test_metrics_log_fields(caption_data, tmp_path):
     assert recs[0]["temp"] == pytest.approx(0.07) and recs[0]["queue_fill"] == 0
     fills = [r["queue_fill"] for r in recs]
     assert fills == sorted(fills) and fills[-1] > 0
+    # without ITC there is no temperature or queue, and its loss logs 0.0
+    pretrain(tiny_cfg(seed=1, epochs=1, enable_itc=False), samples, root, tmp_path / "no-itc")
+    for r in read_metrics(tmp_path / "no-itc" / "metrics.jsonl"):
+        assert set(r) == {"step", "epoch", "lr", "mim", "mlm", "itm", "itc", "total", "grad_norm", "wall_ms"}
+        assert r["itc"] == 0.0 and r["total"] == r["mim"] + r["mlm"] + r["itm"]
 
 
 def test_grad_norm_is_logged_before_clipping(caption_data, vqa_data, tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 import time
@@ -50,7 +51,8 @@ from .text import BOS, EOS, PAD, Vocab, build_vocab, encode_plain, extend_vocab,
 from .vision import Image, augment, load_image, mask_patches, patchify
 
 CKPT_MAGIC = b"M2I2"
-CKPT_VERSION = 4
+CKPT_VERSION = 5
+CKPT_ALIGN = 64  # the data block starts at a multiple of this many bytes
 TEMP_MIN, TEMP_MAX = 0.01, 0.5
 
 
@@ -83,13 +85,18 @@ def adamw_step(
 ) -> None:
     """Decoupled weight decay, then bias-corrected Adam. Each parameter and
     moment is rebound to a new array, never written in place: a restored
-    model shares its arrays with the checkpoint it came from."""
+    model holds the read-only arrays of the checkpoint it came from. A
+    non-finite gradient raises NumericsError before anything changes."""
+    grads = {}
+    for name, p in mp.params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if not np.isfinite(g).all():
+            raise NumericsError(f"non-finite gradient on parameter {name}")
+        grads[name] = g
     state.t += 1
     t = state.t
     for name, p in mp.params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if np.isnan(g).any():
-            raise NumericsError(f"NaN gradient on parameter {name}")
+        g = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -153,6 +160,10 @@ def save_checkpoint(
     names = sorted(arrays)
     meta["arrays"] = [[name, list(arrays[name].shape)] for name in names]
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    # trailing spaces, which JSON ignores, start the data at a multiple of
+    # CKPT_ALIGN: a view of misaligned float64 data makes numpy's matmul skip
+    # BLAS for its own loop, which changes the bits
+    blob += b" " * (-(16 + len(blob)) % CKPT_ALIGN)
     # written beside the target and renamed over it, so a crash mid-write
     # leaves the previous checkpoint whole
     tmp = os.fspath(path) + ".tmp"
@@ -189,14 +200,19 @@ class Checkpoint:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint: magic, u32 version, u64 header length, a JSON
-    header with an "arrays" table of [name, shape], then the arrays' <f8
-    data back to back in table order. A malformed, truncated or padded file
-    raises CheckpointError before any array is allocated; so does a header
-    that lacks a field, lists a name twice, holds a step, epoch, adam_t or
-    queue counter that is not an int or a vocab that is not a list of str,
-    or holds a queue whose counters do not fit its slots: capacity rows, a
+    header with an "arrays" table of [name, shape], padded with spaces to
+    end at a multiple of CKPT_ALIGN bytes, then the arrays' <f8 data back to
+    back in table order. A malformed, truncated, padded or unaligned file
+    raises CheckpointError before the file is mapped; so does a header that
+    lacks a field, lists a name twice, holds a step, epoch, adam_t or queue
+    counter that is not an int or a vocab that is not a list of str, or
+    holds a queue whose counters do not fit its slots: capacity rows, a
     write_ptr below capacity, and filled at capacity or, before the queue
-    first wraps, at write_ptr."""
+    first wraps, at write_ptr.
+
+    The arrays are read-only views of one read-only map of the file, so
+    loading reads no array data. While they live, the file must be replaced
+    (as save_checkpoint does), never rewritten in place."""
     with open(path, "rb") as f:
         if f.read(4) != CKPT_MAGIC:
             raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
@@ -224,37 +240,48 @@ def load_checkpoint(path) -> Checkpoint:
                     raise CheckpointError(f"{path} has a malformed queue {queue}")
                 if not table.get("queue/img") == table.get("queue/txt") == [cap, dim] or not 0 <= ptr < cap or filled not in (ptr, cap):
                     raise CheckpointError(f"{path} has a queue {queue} that does not fit its slots")
-            listed = 8 * sum(math.prod(shape) for shape in shapes)
-            if listed != data_bytes:
-                raise CheckpointError(f"{path} holds {data_bytes} data bytes; its table lists {listed}")
-            # an array each rather than views of one block: a fresh 13-15 MB
-            # block raised the desk bench's peak RSS by 10-14 MiB, where arrays
-            # of these sizes reuse the heap training freed
-            arrays = {name: np.empty(shape, "<f8") for name, shape in zip(names, shapes)}
-            for a in arrays.values():
-                f.readinto(a)
-            return Checkpoint(TrainConfig.from_dict(meta["config"]), meta, arrays)
+            sizes = [math.prod(shape) for shape in shapes]
+            if 8 * sum(sizes) != data_bytes:
+                raise CheckpointError(f"{path} holds {data_bytes} data bytes; its table lists {8 * sum(sizes)}")
+            config = TrainConfig.from_dict(meta["config"])
+            if (16 + hlen) % CKPT_ALIGN:
+                raise CheckpointError(f"{path} has unaligned data at byte {16 + hlen}, not a multiple of {CKPT_ALIGN}")
+            block = np.frombuffer(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ), "<f8", offset=16 + hlen)
         except CheckpointError:
             raise
         # a short fixed field fails in struct; bad bytes in UTF-8, JSON, table or config
         except (struct.error, ValueError, KeyError, TypeError, AttributeError) as e:
             raise CheckpointError(f"{path} is truncated or malformed: {e}") from e
+    arrays, start = {}, 0
+    for name, shape, size in zip(names, shapes, sizes):
+        arrays[name] = block[start : start + size].reshape(shape)
+        start += size
+    return Checkpoint(config, meta, arrays)
 
 
-def _section(arrays: dict[str, np.ndarray], kind: str) -> dict[str, np.ndarray]:
-    """The arrays saved under "<kind>/", keyed by the rest of their name."""
-    return {key[len(kind) + 1 :]: a for key, a in arrays.items() if key.startswith(kind + "/")}
+def _sections(arrays: dict[str, np.ndarray]) -> dict[str, dict[str, np.ndarray]]:
+    """The arrays saved as "<kind>/<name>", by kind, then name."""
+    out: dict[str, dict[str, np.ndarray]] = {}
+    for key, a in arrays.items():
+        kind, _, name = key.partition("/")
+        out.setdefault(kind, {})[name] = a
+    return out
 
 
 def restore_model(ckpt: Checkpoint, cfg: TrainConfig) -> tuple[ModelParams, AdamState, FeatureQueue | None]:
     """Rebuild model/optimizer/queue state exactly as saved, or raise
-    CheckpointError. The model and Adam moments hold the checkpoint's own
-    arrays; the queue, built only when ITC runs, holds copies of the slots."""
+    CheckpointError. The model and the Adam moments of the tensors it holds
+    are the checkpoint's own read-only arrays; the queue, built only when
+    ITC runs, holds writable copies of the slots."""
+    saved = _sections(ckpt.arrays)
     try:
-        mp = ModelParams.from_arrays(
-            cfg.model_config(), _section(ckpt.arrays, "param"), _section(ckpt.arrays, "mom")
+        mp = ModelParams.from_arrays(cfg.model_config(), saved.get("param", {}), saved.get("mom", {}))
+        held = mp.params.keys()
+        adam = AdamState(
+            m={n: a for n, a in saved.get("adam_m", {}).items() if n in held},
+            v={n: a for n, a in saved.get("adam_v", {}).items() if n in held},
+            t=ckpt.meta["adam_t"],
         )
-        adam = AdamState(m=_section(ckpt.arrays, "adam_m"), v=_section(ckpt.arrays, "adam_v"), t=ckpt.meta["adam_t"])
         queue = None
         if mp.cfg.runs("itc"):
             img, txt = ckpt.arrays["queue/img"].copy(), ckpt.arrays["queue/txt"].copy()
@@ -453,12 +480,14 @@ def _train(
         raise ConfigError(f"{phase}() needs a {phase} config, got phase {cfg.phase!r}")
     if len(samples) < 2:
         raise ConfigError(f"{phase} needs at least 2 samples, got {len(samples)}")
-    os.makedirs(out_dir, exist_ok=True)
-    cfg.save(os.path.join(out_dir, "config.json"))
     images = [load_image(os.path.join(data_root, s.image), channels=cfg.channels) for s in samples]
 
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
+        saved, run = vars(ckpt.config.model_config()), vars(cfg.model_config())
+        differ = sorted(key for key in run if saved[key] != run[key])
+        if differ:
+            raise CheckpointError(f"{resume_from} was saved with other model keys: {differ}")
         vocab = ckpt.vocab
         mp, adam, queue = restore_model(ckpt, cfg)
         step = ckpt.meta["step"]
@@ -467,6 +496,8 @@ def _train(
         mp = ModelParams(cfg.model_config(), np.random.default_rng([cfg.seed, 0x11]))
         vocab, queue = fresh(mp)
         adam, step, start_epoch = AdamState(), 0, 0
+    os.makedirs(out_dir, exist_ok=True)
+    cfg.save(os.path.join(out_dir, "config.json"))
     vocab.save(os.path.join(out_dir, "vocab.txt"))
 
     token_ids = [tokenize(t, vocab, cfg.max_text_len) for t in texts]

@@ -1,5 +1,6 @@
 import json
 import math
+import mmap
 import os
 import struct
 import weakref
@@ -9,7 +10,7 @@ import pytest
 
 from m2i2 import model, trainer
 from m2i2.config import preset
-from m2i2.errors import CheckpointError, ConfigError
+from m2i2.errors import CheckpointError, ConfigError, NumericsError
 from m2i2.model import ModelParams
 from m2i2.momentum import FeatureQueue, enqueue, momentum_update
 from m2i2.objectives import itm_loss, mlm_loss, pair_negatives
@@ -92,6 +93,24 @@ def test_adamw_decay_only():
     adamw_step(mp, AdamState(), lr=0.5, weight_decay=0.01)
     for k, t in mp.params.items():
         assert np.allclose(t.data, vals[k] * (1 - 0.5 * 0.01), atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_adamw_rejects_a_non_finite_gradient_before_any_update(bad):
+    mp = tiny_params()
+    st = AdamState()
+    for t in mp.params.values():
+        t.grad = np.ones_like(t.data)
+    adamw_step(mp, st, lr=0.1, weight_decay=0.1)
+    params, m, v = {n: t.data for n, t in mp.params.items()}, dict(st.m), dict(st.v)
+    # the last tensor, so that every other one would be updated before it
+    last = list(mp.params)[-1]
+    mp.params[last].grad = np.full_like(mp.params[last].data, bad)
+    with pytest.raises(NumericsError, match=f"gradient on parameter {last}"):
+        adamw_step(mp, st, lr=0.1, weight_decay=0.1)
+    assert st.t == 1
+    assert all(t.data is params[n] for n, t in mp.params.items())
+    assert st.m.keys() == m.keys() and all(st.m[n] is m[n] and st.v[n] is v[n] for n in m)
 
 
 def test_clip_global_norm():
@@ -189,10 +208,11 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_checkpoint_version_1_rejected(tmp_path):
-    # version 2 files also carry config keys that no longer exist
+    # version 2 files also carry config keys that no longer exist, and
+    # version 4 files an unpadded header
     *_rest, path = _ckpt_fixture(tmp_path)
     raw = path.read_bytes()
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
         with pytest.raises(CheckpointError, match=f"version {version}"):
             load_checkpoint(path)
@@ -202,6 +222,25 @@ def _header(raw: bytes) -> tuple[int, dict]:
     """The length of a checkpoint's JSON header and the header itself."""
     (mlen,) = struct.unpack("<Q", raw[8:16])
     return mlen, json.loads(raw[16 : 16 + mlen])
+
+
+def _with_header(raw: bytes, header: dict) -> bytes:
+    """raw with its JSON header replaced by header, padded as save_checkpoint
+    pads it, so that the data stays aligned and only the edit is malformed."""
+    mlen, _ = _header(raw)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob += b" " * (-(16 + len(blob)) % trainer.CKPT_ALIGN)
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :]
+
+
+@pytest.fixture
+def no_map(monkeypatch):
+    """Fails any load that gets as far as mapping the file."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("load_checkpoint mapped a malformed file")
+
+    monkeypatch.setattr(trainer.mmap, "mmap", fail)
 
 
 def _malformed(raw: bytes, section: str) -> bytes:
@@ -224,8 +263,7 @@ def _malformed(raw: bytes, section: str) -> bytes:
             # the fixture's 16-slot queue holds 5 entries: write_ptr = filled = 5
             _, key, value = section.split()
             header["queue"][key] = int(value)
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[payload:]
+        return _with_header(raw, header)
     cut = {
         "magic": 2,
         "version": 6,
@@ -238,19 +276,37 @@ def _malformed(raw: bytes, section: str) -> bytes:
     return raw[:cut]
 
 
-@pytest.mark.parametrize(
-    "section",
-    [
-        "magic", "version", "meta length", "meta", "payload start", "mid-array", "one byte short",
-        "one trailing byte", "oversized meta length", "oversized table", "name listed twice",
-        "no step", "no epoch", "no adam_t", "no queue", "no vocab",
-        "queue capacity 3", "queue write_ptr 16", "queue write_ptr 2", "queue filled 3", "queue filled 17",
-    ],
-)
-def test_truncated_checkpoint_raises_checkpoint_error(tmp_path, section):
+# each malformed section and the error it raises
+MALFORMED = {
+    "magic": "bad magic",
+    "version": "truncated or malformed",
+    "meta length": "truncated or malformed",
+    "meta": "truncated in its header",
+    "payload start": "holds 0 data bytes",
+    "mid-array": "data bytes; its table lists",
+    "one byte short": "data bytes; its table lists",
+    "one trailing byte": "data bytes; its table lists",
+    "oversized meta length": "truncated in its header",
+    "oversized table": "data bytes; its table lists",
+    "name listed twice": "malformed array table",
+    "no step": "lacks a header field",
+    "no epoch": "lacks a header field",
+    "no adam_t": "lacks a header field",
+    "no queue": "lacks a header field",
+    "no vocab": "lacks a header field",
+    "queue capacity 3": "does not fit its slots",
+    "queue write_ptr 16": "does not fit its slots",
+    "queue write_ptr 2": "does not fit its slots",
+    "queue filled 3": "does not fit its slots",
+    "queue filled 17": "does not fit its slots",
+}
+
+
+@pytest.mark.parametrize("section", list(MALFORMED))
+def test_truncated_checkpoint_raises_checkpoint_error(tmp_path, no_map, section):
     *_rest, path = _ckpt_fixture(tmp_path)
     path.write_bytes(_malformed(path.read_bytes(), section))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=MALFORMED[section]):
         load_checkpoint(path)
 
 
@@ -261,37 +317,109 @@ def test_truncated_checkpoint_raises_checkpoint_error(tmp_path, section):
         ("queue", 5), ("queue/capacity", 16.0), ("queue/write_ptr", False), ("queue/filled", "5"), ("queue/extra", 0),
     ],
 )
-def test_checkpoint_header_of_the_wrong_type_raises_checkpoint_error(tmp_path, monkeypatch, key, value):
+def test_checkpoint_header_of_the_wrong_type_raises_checkpoint_error(tmp_path, no_map, key, value):
     # a hand-edited header; the table and data are left whole
     *_rest, path = _ckpt_fixture(tmp_path)
     raw = path.read_bytes()
-    mlen, header = _header(raw)
+    _, header = _header(raw)
     field, _, sub = key.partition("/")
     if sub:
         header[field][sub] = value
     else:
         header[field] = value
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
-
-    def no_alloc(*args, **kwargs):
-        raise AssertionError("load_checkpoint allocated an array")
-
-    monkeypatch.setattr(np, "empty", no_alloc)
-    with pytest.raises(CheckpointError):
+    path.write_bytes(_with_header(raw, header))
+    if key == "queue":
+        match = "truncated or malformed: 'int' object has no attribute 'get'"
+    else:
+        match = "malformed queue" if sub else "not an int, or a vocab"
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
 
 
-def test_checkpoint_with_removed_config_keys_raises_checkpoint_error(tmp_path):
+def test_checkpoint_with_removed_config_keys_raises_checkpoint_error(tmp_path, no_map):
     # as written before these four keys became constants
     *_rest, path = _ckpt_fixture(tmp_path)
     raw = path.read_bytes()
-    mlen, header = _header(raw)
+    _, header = _header(raw)
     header["config"].update(mlp_ratio=4, beta1=0.9, beta2=0.999, adam_eps=1e-8)
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
+    path.write_bytes(_with_header(raw, header))
     with pytest.raises(CheckpointError, match=r"\['adam_eps', 'beta1', 'beta2', 'mlp_ratio'\]"):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_an_unpadded_header_raises_checkpoint_error(tmp_path):
+    # as a version-4 writer laid it out: the data right after the bare JSON
+    *_rest, path = _ckpt_fixture(tmp_path)
+    raw = path.read_bytes()
+    mlen, header = _header(raw)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    assert (16 + len(blob)) % trainer.CKPT_ALIGN and len(blob) < mlen
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
+    with pytest.raises(CheckpointError, match=f"unaligned data at byte {16 + len(blob)}"):
+        load_checkpoint(path)
+
+
+def _owner(a: np.ndarray):
+    """The object whose buffer a views, through numpy's memoryview of it."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+def test_loaded_arrays_are_read_only_views_of_one_aligned_block(tmp_path):
+    *_rest, path = _ckpt_fixture(tmp_path)
+    _, header = _header(path.read_bytes())
+    ckpt = load_checkpoint(path)
+    arrays = [ckpt.arrays[name] for name, _ in header["arrays"]]
+    assert len({id(_owner(a)) for a in arrays}) == 1 and isinstance(_owner(arrays[0]), mmap.mmap)
+    # back to back in table order from an aligned start, so each is 8-byte aligned
+    at = [a.__array_interface__["data"][0] for a in arrays]
+    assert at[0] % trainer.CKPT_ALIGN == 0
+    assert all(b - a == x.nbytes for a, b, x in zip(at, at[1:], arrays))
+    assert all(a.flags.aligned and not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[0][...] = 0.0
+
+
+def test_saving_over_a_loaded_checkpoint_leaves_its_arrays_as_loaded(tmp_path):
+    # save_checkpoint replaces the file, so the old map keeps the old data
+    cfg, mp, adam, q, vocab, path = _ckpt_fixture(tmp_path)
+    ckpt = load_checkpoint(path)
+    mp2, adam2, q2 = restore_model(ckpt, cfg)
+    loaded = {key: a.tobytes() for key, a in ckpt.arrays.items()}
+    for t in mp2.params.values():
+        t.grad = np.ones_like(t.data)
+    adamw_step(mp2, adam2, lr=0.1, weight_decay=0.1)
+    save_checkpoint(path, cfg, mp2, adam2, q2, vocab, step=18, epoch=3)
+    assert all(a.tobytes() == loaded[key] for key, a in ckpt.arrays.items())
+    again = load_checkpoint(path)
+    assert again.step == 18 and np.array_equal(again.arrays["param/itm.w"], mp2.params["itm.w"].data)
+    assert again.arrays["param/itm.w"].tobytes() != loaded["param/itm.w"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the resident set from /proc")
+def test_loading_reads_no_array_data(tmp_path):
+    # a table that lists 512 MiB more over a sparse file: a loader that read
+    # or copied the data would grow the resident set by that much
+    *_rest, path = _ckpt_fixture(tmp_path)
+    raw = path.read_bytes()
+    _, header = _header(raw)
+    big = 2**26
+    header["arrays"].append(["zz/big", [big]])
+    head = _with_header(raw, header)
+    with open(path, "wb") as f:
+        f.write(head)
+        f.truncate(len(head) + 8 * big)
+
+    def resident_mib():
+        with open("/proc/self/statm") as f:
+            return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+    before = resident_mib()
+    ckpt = load_checkpoint(path)
+    grown = resident_mib() - before
+    assert ckpt.arrays["zz/big"].shape == (big,)
+    assert grown < 4, f"loading grew the resident set by {grown:.1f} MiB"
 
 
 def test_checkpoint_header_lists_every_array_in_order(tmp_path):
@@ -652,6 +780,22 @@ def test_resume_rewinds_log_to_checkpoint(caption_data, tmp_path):
     full = strip_wall(read_metrics(tmp_path / "full" / "metrics.jsonl"))
     assert strip_wall(read_metrics(log)) == full
     assert [r["step"] for r in full] == [1, 2, 3, 4, 5, 6]
+
+
+def test_resume_with_other_model_keys_raises_checkpoint_error(caption_data, tmp_path):
+    root, samples = caption_data
+    ckpt = pretrain(tiny_cfg(seed=4, epochs=2), samples, root, tmp_path / "run", stop_after_epoch=0)
+    files = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    no_itc = tiny_cfg(seed=4, epochs=2, enable_itc=False)
+    with pytest.raises(CheckpointError, match=r"other model keys: \['enable_itc'\]"):
+        pretrain(no_itc, samples, root, tmp_path / "run", resume_from=ckpt)
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == files
+    # restore_model itself takes the Adam moments of the tensors the model holds only
+    loaded = load_checkpoint(ckpt)
+    assert [k for k in loaded.arrays if k.startswith("adam_m/itc")]
+    mp, adam, queue = restore_model(loaded, no_itc)
+    assert queue is None and not mp.momentum
+    assert adam.m.keys() == adam.v.keys() == mp.params.keys()
 
 
 @pytest.mark.parametrize("line", ["not json", "[1, 2]", '{"step": "1"}', '{"epoch": 0}'])

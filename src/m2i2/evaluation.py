@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrainConfig
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .model import ModelParams, decode_answer, encode_full_images, encode_text, fuse
 from .synth import VqaSample
 from .tensor import Tensor, concat, cross_entropy, no_grad
@@ -58,6 +58,57 @@ class EvalReport:
         )
 
 
+@dataclass
+class _Encoded:
+    """The encode stage of one call: each distinct image and question among
+    its items encoded once, and each item's row among them."""
+
+    images: Tensor  # [distinct images, 1+N, dim]
+    text: Tensor  # [distinct questions, W, dim], cut after the longest question
+    ids: np.ndarray  # [distinct questions, max_text_len]
+    img_rows: np.ndarray  # [items], each item's row of images
+    q_rows: np.ndarray  # [items], each item's row of text and ids
+
+
+def _encode(mp: ModelParams, images: list[Image], questions: list[str], vocab: Vocab, per_call: int = 0) -> _Encoded:
+    """Encode stage: each distinct Image object goes through the image
+    encoder once, and each distinct question through the text encoder once,
+    per_call of them at most per encoder call (all at once when 0). Text
+    runs on the ids cut after the longest question (see encode_text)."""
+    uniq_imgs, img_rows = _distinct(images, key=id)
+    uniq_qs, q_rows = _distinct(questions)
+    ids = np.stack([tokenize(q, vocab, mp.cfg.max_text_len) for q in uniq_qs])
+    step = per_call or max(len(uniq_imgs), len(uniq_qs))
+
+    def encoded(encode, items) -> Tensor:
+        return concat([encode(mp, items[lo : lo + step]) for lo in range(0, len(items), step)])
+
+    return _Encoded(
+        encoded(encode_full_images, uniq_imgs), encoded(encode_text, ids[:, : _width(ids)]), ids, img_rows, q_rows
+    )
+
+
+def _fuse(mp: ModelParams, enc: _Encoded, items: slice, capture: list | None = None):
+    """Fuse stage: fused features [b, max_text_len, dim] and token ids
+    [b, max_text_len] of an encoded call's items, in their order; the
+    features are zero at PAD positions.
+
+    The items' rows are gathered from the encode stage. Text and fusion run
+    on them cut after the items' longest question (so a captured map is
+    [b, heads, Lq, S]), with max_text_len key slots in self-attention (see
+    encode_text). Rows never mix, so every non-PAD row is bitwise the one a
+    batch of one gives.
+    """
+    q_rows = enc.q_rows[items]
+    ids = enc.ids[q_rows]
+    width = _width(ids)
+    text, images = enc.text[q_rows, :width], enc.images[enc.img_rows[items]]
+    fused = fuse(mp, text, images, ids[:, :width], capture=capture)
+    # back to full width for the decoder's memory, PAD rows (masked there) zeroed
+    tail = Tensor(np.zeros((len(ids), ids.shape[1] - width, mp.cfg.dim)))
+    return concat([fused, tail], axis=1) * (ids != PAD)[:, :, None], ids
+
+
 def _fuse_batch(
     mp: ModelParams,
     images: list[Image],
@@ -65,29 +116,15 @@ def _fuse_batch(
     vocab: Vocab,
     capture: list | None = None,
 ):
-    """Fused features [b, max_text_len, dim] and token ids [b, max_text_len]
-    of a batch, in batch order; the features are zero at PAD positions.
+    """Both stages over one batch: its fused features and token ids (see _fuse)."""
+    return _fuse(mp, _encode(mp, images, questions, vocab), slice(None), capture=capture)
 
-    Each distinct Image object goes through the image encoder once, and each
-    distinct question through the text encoder once; their rows are then
-    gathered into batch order. Text and fusion run on the ids cut after the
-    batch's longest question (so a captured map is [b, heads, Lq, S]), with
-    max_text_len key slots in self-attention (see encode_text). Rows never
-    mix, so every non-PAD row is bitwise the one a batch of one gives.
-    """
-    uniq_imgs, img_rows = _distinct(images, key=id)
-    uniq_qs, q_rows = _distinct(questions)
-    img_feats = _in_order(encode_full_images(mp, uniq_imgs), img_rows)
-    uniq_ids = np.stack([tokenize(q, vocab, mp.cfg.max_text_len) for q in uniq_qs])
+
+def _width(ids: np.ndarray) -> int:
+    """The columns of ids [n, max_text_len] up to the longest question's last token."""
     # two columns at least: numpy multiplies a one-row matrix on another
     # BLAS path, whose bits differ from a row of a longer product
-    width = max(2, 1 + np.flatnonzero((uniq_ids != PAD).any(axis=0))[-1])
-    cut = uniq_ids[:, :width]
-    fused = fuse(mp, _in_order(encode_text(mp, cut), q_rows), img_feats, cut[q_rows], capture=capture)
-    ids = uniq_ids[q_rows]
-    # back to full width for the decoder's memory, PAD rows (masked there) zeroed
-    tail = Tensor(np.zeros((len(ids), ids.shape[1] - width, mp.cfg.dim)))
-    return concat([fused, tail], axis=1) * (ids != PAD)[:, :, None], ids
+    return max(2, 1 + np.flatnonzero((ids != PAD).any(axis=0))[-1])
 
 
 def _distinct(items: list, key=lambda x: x) -> tuple[list, np.ndarray]:
@@ -98,12 +135,6 @@ def _distinct(items: list, key=lambda x: x) -> tuple[list, np.ndarray]:
     return [x for _, x in rows.values()], np.array([rows[key(x)][0] for x in items], dtype=np.int64)
 
 
-def _in_order(feats: Tensor, rows: np.ndarray) -> Tensor:
-    """feats gathered into batch order; as is when every item was distinct,
-    since first-seen order then makes rows 0..n-1."""
-    return feats if feats.shape[0] == len(rows) else feats[rows]
-
-
 def fuse_question(
     mp: ModelParams,
     cfg: TrainConfig,
@@ -112,8 +143,9 @@ def fuse_question(
     vocab: Vocab,
     capture: list | None = None,
 ):
-    """One question's fused features, ids and the patch grid; lengths come
-    from mp.cfg, cfg is kept for existing callers."""
+    """One question's fused features, ids and the patch grid, from both
+    stages (see _encode and _fuse) with the tape on unless no_grad is in
+    force; lengths come from mp.cfg, cfg is kept for existing callers."""
     fused, ids = _fuse_batch(mp, [img], [question], vocab, capture=capture)
     return fused, ids, mp.cfg.grid
 
@@ -124,38 +156,50 @@ def generate_answers(
     questions: list[str],
     vocab: Vocab,
 ) -> list[list[int]]:
-    """Greedy decoding from BOS for a batch of (image, question) pairs.
+    """Greedy decoding from BOS for a batch of (image, question) pairs, with
+    no tape: the encode and fuse stages over the batch (each distinct image
+    and question encoded once, see _encode and _fuse), then the cached
+    greedy loop (see _greedy). An empty batch gives []; images and
+    questions of different lengths raise ContractError.
+    """
+    if len(images) != len(questions):
+        raise ContractError(f"{len(images)} images for {len(questions)} questions")
+    if not questions:
+        return []
+    with no_grad():
+        return _greedy(mp, *_fuse_batch(mp, images, questions, vocab), vocab)
 
-    One encoder and fusion pass for the batch (each distinct image and
-    question encoded once, see _fuse_batch), then one decoder step per
-    token, with no tape. The steps share a decode cache: the fused memory's
-    cross-attention keys and values are projected once, and each step runs
-    only the newest position, reusing the earlier positions' self-attention
-    keys and values. The cached logits may differ from those of a
-    teacher-forced decode_answer pass over the same prefix in the last bits.
+
+def _greedy(mp: ModelParams, fused: Tensor, ids: np.ndarray, vocab: Vocab) -> list[list[int]]:
+    """Greedy answers of fused features and ids [b, max_text_len] (see
+    _fuse), one decoder step per token; run under no_grad.
+
+    The steps share a decode cache: the fused memory's cross-attention keys
+    and values are projected once, and each step runs only the newest
+    position, reusing the earlier positions' self-attention keys and
+    values. The cached logits may differ from those of a teacher-forced
+    decode_answer pass over the same prefix in the last bits.
 
     A row stops recording at its EOS; the loop ends when every row has
     stopped or after max_answer_len - 1 tokens, when the prefix fills
     max_answer_len. Rows never mix, and the causal mask hides the tokens a
     row is fed after it stopped, so each row decodes as it would alone.
     """
-    out: list[list[int]] = [[] for _ in questions]
-    with no_grad():
-        fused, ids = _fuse_batch(mp, images, questions, vocab)
-        prefix = np.full((len(questions), 1), BOS, dtype=np.int64)
-        live = np.ones(len(questions), dtype=bool)
-        cache: dict = {}
-        for _ in range(mp.cfg.max_answer_len - 1):
-            logits = decode_answer(mp, fused, ids, prefix, cache=cache)
-            # the head covers cfg.vocab_size slots; only ids the vocab defines
-            # are decodable (ties resolve to lowest id)
-            nxt = np.argmax(logits.data[:, -1, : len(vocab)], axis=-1)
-            live &= nxt != EOS
-            if not live.any():
-                break
-            for i in np.flatnonzero(live):
-                out[i].append(int(nxt[i]))
-            prefix = np.concatenate([prefix, nxt[:, None]], axis=1)
+    out: list[list[int]] = [[] for _ in ids]
+    prefix = np.full((len(ids), 1), BOS, dtype=np.int64)
+    live = np.ones(len(ids), dtype=bool)
+    cache: dict = {}
+    for _ in range(mp.cfg.max_answer_len - 1):
+        logits = decode_answer(mp, fused, ids, prefix, cache=cache)
+        # the head covers cfg.vocab_size slots; only ids the vocab defines
+        # are decodable (ties resolve to lowest id)
+        nxt = np.argmax(logits.data[:, -1, : len(vocab)], axis=-1)
+        live &= nxt != EOS
+        if not live.any():
+            break
+        for i in np.flatnonzero(live):
+            out[i].append(int(nxt[i]))
+        prefix = np.concatenate([prefix, nxt[:, None]], axis=1)
     return out
 
 
@@ -181,11 +225,11 @@ def evaluate(
 ) -> EvalReport:
     """Exact-match accuracy after normalization, split by answer type.
 
-    Decodes cfg.batch_size questions per generate_answers pass, without a
-    tape; each pass encodes and fuses its questions cut after the longest
-    one (see _fuse_batch), and predictions equal per-question
-    generate_answer calls. Heatmaps (attention_map) still build a tape,
-    since grad weighting needs backward.
+    The split's distinct images and questions are encoded once, with no
+    tape, at most cfg.batch_size of them per encoder call (see _encode).
+    Each cfg.batch_size chunk of questions is then fused, cut after its
+    longest question (see _fuse), and decoded by the cached greedy loop
+    (see _greedy). Predictions equal per-question generate_answer calls.
     """
     if answer_type_filter == "free":
         samples = [s for s in samples if s.question_form == "freeform"]
@@ -195,10 +239,13 @@ def evaluate(
         name: load_image(os.path.join(data_root, name), channels=cfg.channels)
         for name in {s.image for s in samples}
     }
-    answers: list[list[int]] = []
-    for lo in range(0, len(samples), cfg.batch_size):
-        chunk = samples[lo : lo + cfg.batch_size]
-        answers += generate_answers(mp, [images[s.image] for s in chunk], [s.question for s in chunk], vocab)
+    with no_grad():
+        enc = _encode(mp, [images[s.image] for s in samples], [s.question for s in samples], vocab, cfg.batch_size)
+        answers = [
+            a
+            for lo in range(0, len(samples), cfg.batch_size)
+            for a in _greedy(mp, *_fuse(mp, enc, slice(lo, lo + cfg.batch_size)), vocab)
+        ]
     report = EvalReport()
     for s, toks in zip(samples, answers):
         pred = detokenize(toks, vocab)
@@ -238,28 +285,35 @@ def attention_map(
     Takes the chosen fusion layer's attention from the question CLS row to
     the image patch tokens. With grad_weighted, attention is scaled by the
     positive part of its gradient w.r.t. the generated answer's first-token
-    log-probability before head reduction. Leaves no gradient on mp.
+    log-probability before head reduction.
+
+    The encoders run with no tape. Fusion and the decoder run on
+    mp.frozen(), whose parameters require no gradient, with the encoded
+    text entering fusion as the tape's only leaf: backward then computes
+    only the activation gradients between that leaf and the loss, and
+    leaves no gradient on mp.
     """
-    capture: list = []
-    fused, ids, grid = fuse_question(mp, cfg, img, question, vocab, capture=capture)
+    with no_grad():
+        enc = _encode(mp, [img], [question], vocab)
+    enc.text = Tensor(enc.text.data, requires_grad=grad_weighted)
+    frozen, capture = mp.frozen(), []
+    fused, ids = _fuse(frozen, enc, slice(None), capture=capture)
     if not -len(capture) <= layer < len(capture):
         raise IndexError(f"fusion layer {layer} out of range for depth {len(capture)}")
     attn = capture[layer]  # [1, heads, L, 1+N]
     if grad_weighted:
-        logits = decode_answer(mp, fused, ids, np.array([[BOS]]))
+        logits = decode_answer(frozen, fused, ids, np.array([[BOS]]))
         # the first token generate_answer emits, so from the vocab's ids only
         first = int(np.argmax(logits.data[0, -1, : len(vocab)]))
         (-cross_entropy(logits[0, -1:], [first])).backward()
         g = attn.grad if attn.grad is not None else np.zeros(attn.shape)
-        # backward left a gradient on every parameter; none is read
-        mp.zero_grads()
         weighted = attn.data * np.maximum(g, 0.0)
     else:
         weighted = attn.data
     rows = weighted[0, :, 0, 1:].mean(axis=0)  # CLS query row, patch keys only
     lo, hi = rows.min(), rows.max()
     rows = (rows - lo) / (hi - lo) if hi > lo else np.zeros_like(rows)
-    return rows.reshape(grid)
+    return rows.reshape(mp.cfg.grid)
 
 
 def write_heatmap(path, heat: np.ndarray, upsample: int = 16) -> None:

@@ -221,6 +221,15 @@ class ModelParams:
     def source(self, use_momentum: bool) -> dict[str, Tensor]:
         return self.momentum if use_momentum else self.params
 
+    def frozen(self) -> "ModelParams":
+        """A model over the same arrays, not copies, whose parameters require
+        no gradient; self is unchanged, so no tape made with the view reaches
+        a parameter of self."""
+        view = ModelParams.__new__(ModelParams)
+        view.cfg, view.momentum = self.cfg, self.momentum
+        view.params = {n: Tensor(t.data) for n, t in self.params.items()}
+        return view
+
     def zero_grads(self) -> None:
         for t in self.params.values():
             t.grad = None

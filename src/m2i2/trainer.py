@@ -235,9 +235,10 @@ def load_checkpoint(path) -> Checkpoint:
             if not all(type(c) is int for c in counters) or type(vocab) is not list or not all(type(t) is str for t in vocab):
                 raise CheckpointError(f"{path} has a step, epoch or adam_t that is not an int, or a vocab that is not a list of str")
             if queue is not None:
-                cap, dim, ptr, filled = counters = [queue.get(key) for key in ("capacity", "proj_dim", "write_ptr", "filled")]
-                if len(queue) != len(counters) or not all(type(c) is int for c in counters):
+                keys = ("capacity", "proj_dim", "write_ptr", "filled")
+                if type(queue) is not dict or queue.keys() != set(keys) or not all(type(queue[k]) is int for k in keys):
                     raise CheckpointError(f"{path} has a malformed queue {queue}")
+                cap, dim, ptr, filled = (queue[k] for k in keys)
                 if not table.get("queue/img") == table.get("queue/txt") == [cap, dim] or not 0 <= ptr < cap or filled not in (ptr, cap):
                     raise CheckpointError(f"{path} has a queue {queue} that does not fit its slots")
             sizes = [math.prod(shape) for shape in shapes]

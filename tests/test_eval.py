@@ -141,6 +141,65 @@ def test_evaluate_batches_decode_like_single_questions(setup):
     assert [p["prediction"] for p in report.predictions] == [detokenize(a, vocab) for a in single]
 
 
+def test_evaluate_encodes_each_distinct_image_and_question_once_per_split(setup, monkeypatch):
+    root, samples, cfg, _, vocab = setup
+    # shortest questions first, so that the chunks differ in their longest one
+    samples = sorted(samples, key=lambda s: _question_len(s.question, cfg, vocab))
+    assert cfg.batch_size == 4 and len(samples) >= 9
+
+    def recurs_across_chunks(key):
+        chunks = [{key(s) for s in samples[lo : lo + 4]} for lo in range(0, len(samples), 4)]
+        return any(a & b for i, a in enumerate(chunks) for b in chunks[i + 1 :])
+
+    assert recurs_across_chunks(lambda s: s.image) and recurs_across_chunks(lambda s: s.question)
+    imgs = [load_image(root / s.image, channels=1) for s in samples]
+    questions = [s.question for s in samples]
+    mp = _eos_biased_model(cfg, imgs, questions, vocab)
+    single = [generate_answer(mp, cfg, img, q, vocab) for img, q in zip(imgs, questions)]
+    assert 0 in {len(a) for a in single} and len({len(a) for a in single}) >= 2
+
+    image_calls, text_calls, fuse_widths = [], [], []
+    encode_full_images, encode_text = evaluation.encode_full_images, evaluation.encode_text
+
+    def counting_images(mp, images):
+        image_calls.append([id(img) for img in images])
+        return encode_full_images(mp, images)
+
+    def counting_text(mp, ids):
+        text_calls.append(list(map(tuple, ids)))
+        return encode_text(mp, ids)
+
+    def recording_fuse(mp, text, images, ids, capture=None):
+        fuse_widths.append(ids.shape[1])
+        return fuse(mp, text, images, ids, capture=capture)
+
+    monkeypatch.setattr(evaluation, "encode_full_images", counting_images)
+    monkeypatch.setattr(evaluation, "encode_text", counting_text)
+    monkeypatch.setattr(evaluation, "fuse", recording_fuse)
+    report = evaluate(mp, cfg, samples, root, vocab)
+    seen_imgs = [i for call in image_calls for i in call]
+    seen_ids = [t for call in text_calls for t in call]
+    assert len(seen_imgs) == len(set(seen_imgs)) == len({s.image for s in samples})
+    assert len(seen_ids) == len(set(seen_ids)) == len(set(questions)) > cfg.batch_size
+    # an encoder call takes cfg.batch_size distinct inputs at most
+    assert max(map(len, image_calls + text_calls)) <= cfg.batch_size < len(text_calls) * cfg.batch_size
+    # one fusion pass per chunk, cut after the chunk's longest question
+    lengths = [_question_len(q, cfg, vocab) for q in questions]
+    chunk_widths = [max(lengths[lo : lo + 4]) for lo in range(0, len(samples), 4)]
+    assert fuse_widths == chunk_widths and len(set(chunk_widths)) >= 2
+    assert [p["prediction"] for p in report.predictions] == [detokenize(a, vocab) for a in single]
+
+
+def test_generate_answers_of_an_empty_or_uneven_batch(setup):
+    root, samples, cfg, mp, vocab = setup
+    img = load_image(root / samples[0].image, channels=1)
+    assert generate_answers(mp, [], [], vocab) == []
+    with pytest.raises(ContractError):
+        generate_answers(mp, [img, img], [samples[0].question], vocab)
+    with pytest.raises(ContractError):
+        generate_answers(mp, [], [samples[0].question], vocab)
+
+
 def test_cached_decoding_matches_teacher_forcing(setup):
     root, samples, cfg, _, vocab = setup
     samples = samples[:7]
@@ -307,10 +366,32 @@ def test_grad_weighted_map_follows_the_generated_first_token(setup):
         rows = (attn.data * np.maximum(-attn.grad, 0.0))[0, :, 0, 1:].mean(axis=0)
         expected = ((rows - rows.min()) / (rows.max() - rows.min())).reshape(grid)
         assert all(t.grad is not None for t in mp.params.values())
+        mp.zero_grads()
         heat = attention_map(mp, cfg, img, s.question, vocab)
         assert np.array_equal(heat, expected)
         # it reads only the captured map's gradient and leaves none on the model
         assert all(t.grad is None for t in mp.params.values())
+
+
+def test_attention_map_tape_reaches_no_parameter(setup, monkeypatch):
+    root, samples, cfg, mp, vocab = setup
+    img = load_image(root / samples[0].image, channels=1)
+    make = Tensor._make
+    parents = []
+
+    def recording_make(data, ps, backward):
+        out = make(data, ps, backward)
+        parents.extend(out._parents)
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(recording_make))
+    attention_map(mp, cfg, img, samples[0].question, vocab)
+    params = {id(t) for t in mp.params.values()}
+    assert parents and not any(id(p) in params for p in parents)
+    # the parameters it read are mp's own arrays, and mp is left as it was
+    arrays = {id(t.data) for t in mp.params.values()}
+    assert any(id(p.data) in arrays for p in parents)
+    assert all(t.requires_grad and t.grad is None for t in mp.params.values())
 
 
 def test_write_heatmap_roundtrip(setup, tmp_path):

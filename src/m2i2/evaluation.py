@@ -14,10 +14,10 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import ConfigError, ContractError
-from .model import ModelParams, decode_answer, encode_full_images, encode_text, fuse
+from .model import ModelParams, decode_answer, encode_full_images, encode_text, full_width, fuse, text_width
 from .synth import VqaSample
 from .tensor import Tensor, concat, cross_entropy, no_grad
-from .text import BOS, EOS, PAD, Vocab, detokenize, tokenize
+from .text import BOS, EOS, Vocab, detokenize, tokenize
 from .vision import Image, load_image, write_image
 
 
@@ -74,7 +74,7 @@ def _encode(mp: ModelParams, images: list[Image], questions: list[str], vocab: V
     """Encode stage: each distinct Image object goes through the image
     encoder once, and each distinct question through the text encoder once,
     per_call of them at most per encoder call (all at once when 0). Text
-    runs on the ids cut after the longest question (see encode_text)."""
+    runs on the ids cut after the longest question (see text_width)."""
     uniq_imgs, img_rows = _distinct(images, key=id)
     uniq_qs, q_rows = _distinct(questions)
     ids = np.stack([tokenize(q, vocab, mp.cfg.max_text_len) for q in uniq_qs])
@@ -84,7 +84,7 @@ def _encode(mp: ModelParams, images: list[Image], questions: list[str], vocab: V
         return concat([encode(mp, items[lo : lo + step]) for lo in range(0, len(items), step)])
 
     return _Encoded(
-        encoded(encode_full_images, uniq_imgs), encoded(encode_text, ids[:, : _width(ids)]), ids, img_rows, q_rows
+        encoded(encode_full_images, uniq_imgs), encoded(encode_text, ids[:, : text_width(ids)]), ids, img_rows, q_rows
     )
 
 
@@ -96,17 +96,14 @@ def _fuse(mp: ModelParams, enc: _Encoded, items: slice, capture: list | None = N
     The items' rows are gathered from the encode stage. Text and fusion run
     on them cut after the items' longest question (so a captured map is
     [b, heads, Lq, S]), with max_text_len key slots in self-attention (see
-    encode_text). Rows never mix, so every non-PAD row is bitwise the one a
-    batch of one gives.
+    encode_text), then padded back to full width (see full_width). Rows
+    never mix, so every non-PAD row is bitwise the one a batch of one gives.
     """
     q_rows = enc.q_rows[items]
     ids = enc.ids[q_rows]
-    width = _width(ids)
+    width = text_width(ids)
     text, images = enc.text[q_rows, :width], enc.images[enc.img_rows[items]]
-    fused = fuse(mp, text, images, ids[:, :width], capture=capture)
-    # back to full width for the decoder's memory, PAD rows (masked there) zeroed
-    tail = Tensor(np.zeros((len(ids), ids.shape[1] - width, mp.cfg.dim)))
-    return concat([fused, tail], axis=1) * (ids != PAD)[:, :, None], ids
+    return full_width(fuse(mp, text, images, ids[:, :width], capture=capture), ids), ids
 
 
 def _fuse_batch(
@@ -118,13 +115,6 @@ def _fuse_batch(
 ):
     """Both stages over one batch: its fused features and token ids (see _fuse)."""
     return _fuse(mp, _encode(mp, images, questions, vocab), slice(None), capture=capture)
-
-
-def _width(ids: np.ndarray) -> int:
-    """The columns of ids [n, max_text_len] up to the longest question's last token."""
-    # two columns at least: numpy multiplies a one-row matrix on another
-    # BLAS path, whose bits differ from a row of a longer product
-    return max(2, 1 + np.flatnonzero((ids != PAD).any(axis=0))[-1])
 
 
 def _distinct(items: list, key=lambda x: x) -> tuple[list, np.ndarray]:

@@ -252,13 +252,14 @@ def attention(
 
     The [b, L, dim] q, k and v projections go to the attention op as they
     are. bias is an additive attention mask broadcastable to [b, heads, Lq,
-    Lk]; kv switches to cross-attention. A self-attention bias may have more
-    key columns than there are keys; those slots must be masked in every row,
-    and get zero keys and values. capture, when given, receives the
+    Lk]; kv switches to cross-attention. A bias may have more key columns
+    than there are keys; those slots must be masked in every row, and get
+    zero keys and values. capture, when given, receives the
     post-softmax attention tensor. cache, when given, keeps this call's
-    [b, Lk, dim] keys and values under prefix for the next call:
-    self-attention appends the rows of x to the cached ones, so x holds only
-    new positions; cross-attention projects kv on the first call only.
+    [b, Lk, dim] keys and values, zero slots included, under prefix for the
+    next call: self-attention appends the rows of x to the cached ones, so
+    x holds only new positions and needs no zero slots; cross-attention
+    projects kv on the first call only.
     """
     src = kv if kv is not None else x
     q = linear(x, P[f"{prefix}.wq"], P[f"{prefix}.qb"])
@@ -270,17 +271,19 @@ def attention(
         v = linear(src, P[f"{prefix}.wv"], P[f"{prefix}.vb"])
         if cached is not None:
             k, v = concat([cached[0], k], axis=1), concat([cached[1], v], axis=1)
+        n, slots = k.shape[1], 0 if bias is None else bias.shape[-1]
+        if slots > n:
+            # ids cut after a batch's longest question: the key slots past the keys'
+            # rows hold zeros, and a masked slot gets probability exactly 0, so the
+            # softmax and probs @ v sum the same terms in the same order as at full width
+            if not (bias[..., n:] <= NEG_BIAS).all():
+                raise ContractError(f"key slots {n}..{slots - 1} have no key rows but are not masked in every row")
+            if cache is not None and kv is None:
+                raise ContractError("cached self-attention needs a key slot per position, and no more")
+            zeros = Tensor(np.zeros((k.shape[0], slots - n, k.shape[2])))
+            k, v = concat([k, zeros], axis=1), concat([v, zeros], axis=1)
         if cache is not None:
             cache[prefix] = (k, v)
-    n, slots = k.shape[1], 0 if bias is None else bias.shape[-1]
-    if kv is None and slots > n:
-        # ids cut after a batch's longest question: the key slots past x's rows
-        # hold zeros, and a masked slot gets probability exactly 0, so the
-        # softmax and probs @ v sum the same terms in the same order as at full width
-        if not (bias[..., n:] <= NEG_BIAS).all():
-            raise ContractError(f"key slots {n}..{slots - 1} lack rows of x but are not masked in every row")
-        zeros = Tensor(np.zeros((k.shape[0], slots - n, k.shape[2])))
-        k, v = concat([k, zeros], axis=1), concat([v, zeros], axis=1)
     out = scaled_dot_product_attention(q, k, v, heads, bias, capture)
     return linear(out, P[f"{prefix}.wo"], P[f"{prefix}.ob"])
 
@@ -402,11 +405,27 @@ def pad_bias(ids: np.ndarray, slots: int) -> np.ndarray:
     return bias[:, None, None, :]
 
 
+def text_width(ids: np.ndarray) -> int:
+    """The columns of ids [n, L] up to the longest row's last non-PAD token."""
+    # two columns at least: numpy multiplies a one-row matrix on another
+    # BLAS path, whose bits differ from a row of a longer product
+    return max(2, 1 + np.flatnonzero((ids != PAD).any(axis=0))[-1])
+
+
+def full_width(features: Tensor, ids: np.ndarray) -> Tensor:
+    """Text-stream features [b, W, dim] of ids [b, L] cut to W columns (see
+    text_width), back at width L: zero rows appended and PAD rows zeroed,
+    so a decoder's memory keeps L slots whose PAD slots it masks."""
+    b, w, d = features.shape
+    tail = Tensor(np.zeros((b, ids.shape[1] - w, d)))
+    return concat([features, tail], axis=1) * (ids != PAD)[:, :, None]
+
+
 def encode_text(mp: ModelParams, ids: np.ndarray, use_momentum: bool = False) -> Tensor:
     """Text encoder; ids [b, L] with CLS first, PAD tail, L <= max_text_len.
     Returns [b, L, dim]. Self-attention keeps max_text_len key slots, so ids
-    cut after a batch's longest question, to two columns or more, give
-    bitwise the full-width rows at every non-PAD position."""
+    cut after a batch's longest question (see text_width) give bitwise the
+    full-width rows at every non-PAD position."""
     P = mp.source(use_momentum)
     cfg = mp.cfg
     ids = np.asarray(ids, dtype=np.int64)
@@ -465,8 +484,11 @@ def decode_answer(
     the prefix positions the cache has not seen, appends their
     self-attention keys and values, and returns logits for those positions
     only: [b, Lp - seen, vocab]. Each call's prefix must extend the last
-    one's. The cached logits equal the teacher-forced ones up to the last
-    bits, since one-row products take a different BLAS path.
+    one's. The cached memory holds only the CLS slot and the fused rows up
+    to the batch's longest question (see text_width); the masked slots past
+    them get zero keys and values (see attention), which keeps the bits.
+    The cached logits equal the teacher-forced ones up to the last bits,
+    since one-row products take a different BLAS path.
     """
     P = mp.params
     cfg = mp.cfg
@@ -482,9 +504,11 @@ def decode_answer(
     if cache is not None and "memory" in cache:
         memory, mem_bias = cache["memory"]
     else:
-        memory = concat([fused_context[:, 0:1, :], fused_context], axis=1)
+        rows = fused_context if cache is None else fused_context[:, : text_width(text_ids)]
+        memory = concat([fused_context[:, 0:1, :], rows], axis=1)
         # the fused CLS slot first, never masked
-        mem_bias = pad_bias(np.concatenate([np.full((len(text_ids), 1), CLS), text_ids], axis=1), memory.shape[1])
+        mem_ids = np.concatenate([np.full((len(text_ids), 1), CLS), text_ids], axis=1)
+        mem_bias = pad_bias(mem_ids, mem_ids.shape[1])
         if cache is not None:
             cache["memory"] = memory, mem_bias
     causal = np.where(np.tril(np.ones((Lp, Lp))) > 0, 0.0, NEG_BIAS)[None, None, seen:]

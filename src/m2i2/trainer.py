@@ -29,11 +29,13 @@ from .model import (
     encode_full_images,
     encode_image,
     encode_text,
+    full_width,
     fuse,
     interpolate_positional,
     itm_logits,
     mlm_logits,
     project_itc,
+    text_width,
 )
 from .momentum import FeatureQueue, enqueue, momentum_update
 from .objectives import (
@@ -443,7 +445,9 @@ def pretrain_losses(
 
     if cfg.enable_itc:
         img_feats_m = encode_image(mp, batch.visible, batch.positions, use_momentum=True)
-        txt_feats_m = encode_text(mp, batch.ids, use_momentum=True)
+        # only the CLS row is read, which ids cut after the longest caption
+        # give bitwise (see encode_text)
+        txt_feats_m = encode_text(mp, batch.ids[:, : text_width(batch.ids)], use_momentum=True)
         img_proj_m = project_itc(mp, img_feats_m[:, 0, :], "img", use_momentum=True)
         txt_proj_m = project_itc(mp, txt_feats_m[:, 0, :], "txt", use_momentum=True)
         parts["itc"] = itc_loss(
@@ -600,10 +604,17 @@ def vqa_forward_loss(
     answers: list[str],
     vocab: Vocab,
 ) -> Tensor:
-    """Teacher-forced conditional LM loss for a VQA batch (full images)."""
+    """Teacher-forced conditional LM loss for a VQA batch (full images).
+
+    Text and fusion run on the question ids cut after the batch's longest
+    question (see text_width), and the fused features go back to full
+    width for the decoder's memory (see full_width). The loss is bitwise
+    that of full-width ids; the gradients may differ in the last bits,
+    since a weight gradient then sums over fewer rows.
+    """
     img_feats = encode_full_images(mp, images)
-    txt_feats = encode_text(mp, question_ids)
-    fused = fuse(mp, txt_feats, img_feats, question_ids)
+    ids = question_ids[:, : text_width(question_ids)]
+    fused = full_width(fuse(mp, encode_text(mp, ids), img_feats, ids), question_ids)
     prefixes, targets, lens = [], [], []
     for a in answers:
         pre, tgt, n = answer_targets(a, vocab, cfg.max_answer_len)

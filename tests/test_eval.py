@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from m2i2 import evaluation
+from m2i2 import evaluation, model
 from m2i2.config import preset
 from m2i2.evaluation import (
     EvalReport,
@@ -17,7 +17,7 @@ from m2i2.evaluation import (
 from m2i2.errors import ConfigError, ContractError
 from m2i2.model import ModelParams, decode_answer, encode_full_images, encode_text, fuse
 from m2i2.synth import generate_vqa
-from m2i2.tensor import Tensor, cross_entropy
+from m2i2.tensor import Tensor, cross_entropy, no_grad
 from m2i2.text import BOS, EOS, PAD, build_vocab, detokenize, tokenize
 from m2i2.vision import load_image
 
@@ -221,6 +221,40 @@ def test_cached_decoding_matches_teacher_forcing(setup):
             step = decode_answer(mp, fused, ids, prefix[:, : t + 1], cache=cache).data
             assert step.shape == (1, 1, cfg.vocab_size)
             assert np.abs(step[0, -1, : len(vocab)] - forced[t]).max() <= 1e-12
+
+
+def test_decode_cache_projects_cross_attention_only_up_to_the_batch_width(setup, monkeypatch):
+    root, samples, cfg, _, vocab = setup
+    samples = samples[:7]
+    imgs = [load_image(root / s.image, channels=1) for s in samples]
+    questions = [s.question for s in samples]
+    mp = _eos_biased_model(cfg, imgs, questions, vocab)
+    fused, ids = evaluation._fuse_batch(mp, imgs, questions, vocab)
+    width = max(_question_len(q, cfg, vocab) for q in questions)
+    assert width < cfg.max_text_len
+    prefix = np.concatenate(
+        [np.full((len(ids), 1), BOS), np.random.default_rng(3).integers(0, len(vocab), (len(ids), cfg.max_answer_len - 1))],
+        axis=1,
+    )
+
+    def cached_logits():
+        cache = {}
+        with no_grad():
+            return cache, [decode_answer(mp, fused, ids, prefix[:, : t + 1], cache=cache).data for t in range(prefix.shape[1])]
+
+    monkeypatch.setattr(model, "text_width", lambda ids: ids.shape[1])
+    _, full = cached_logits()  # every slot projected, as without the cut
+    monkeypatch.undo()
+    cache, cut = cached_logits()
+    # keys and values are projected from the CLS slot and the rows up to the
+    # width; the cache keeps them at 1 + max_text_len slots, zero past the width
+    assert cache["memory"][0].shape == (len(ids), 1 + width, cfg.dim)
+    for i in range(cfg.depth_ans_dec):
+        for t in cache[f"ans_dec.{i}.xattn"]:
+            assert t.shape == (len(ids), 1 + cfg.max_text_len, cfg.dim) and not t.data[:, 1 + width :].any()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(cut, full))
+    answers = generate_answers(mp, imgs, questions, vocab)
+    assert answers == [generate_answer(mp, cfg, img, q, vocab) for img, q in zip(imgs, questions)]
 
 
 def test_decode_cache_rejects_a_prefix_it_has_seen(setup):

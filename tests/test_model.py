@@ -267,6 +267,24 @@ def test_attention_rejects_a_key_slot_some_row_leaves_unmasked(mp):
         encode_text(mp, rand_ids(1, 9))
 
 
+def test_cross_attention_caches_zero_keys_and_values_for_masked_slots_past_its_memory(mp):
+    x, memory = Tensor(RNG.normal(size=(2, 3, 16))), Tensor(RNG.normal(size=(2, 4, 16)))
+    bias = pad_bias(rand_ids(2, 4), 6)
+    cache = {}
+    first = model.attention(x, mp.params, "fusion.0.xattn", 2, bias=bias, kv=memory, cache=cache)
+    k, v = cache["fusion.0.xattn"]
+    assert k.shape == v.shape == (2, 6, 16) and not k.data[:, 4:].any() and not v.data[:, 4:].any()
+    again = model.attention(x, mp.params, "fusion.0.xattn", 2, bias=bias, kv=memory, cache=cache)
+    uncached = model.attention(x, mp.params, "fusion.0.xattn", 2, bias=bias, kv=memory)
+    assert first.data.tobytes() == again.data.tobytes() == uncached.data.tobytes()
+    bias[0, ..., 5] = 0.0
+    with pytest.raises(ContractError, match="not masked"):
+        model.attention(x, mp.params, "fusion.0.xattn", 2, bias=bias, kv=memory)
+    # a cached self-attention appends positions, so it cannot keep zero slots
+    with pytest.raises(ContractError, match="a key slot per position"):
+        model.attention(x, mp.params, "txt_enc.0.attn", 2, bias=pad_bias(rand_ids(2, 3), 5), cache={})
+
+
 class TestDecodeAnswer:
     def _fused(self, mp, b=1):
         ids = rand_ids(b, 8)

@@ -13,10 +13,10 @@ from m2i2.config import preset
 from m2i2.errors import CheckpointError, ConfigError, NumericsError
 from m2i2.model import ModelParams
 from m2i2.momentum import FeatureQueue, enqueue, momentum_update
-from m2i2.objectives import itm_loss, mlm_loss, pair_negatives
+from m2i2.objectives import cond_lm_loss, itm_loss, mlm_loss, pair_negatives
 from m2i2.synth import generate_captions, generate_vqa
 from m2i2.tensor import concat
-from m2i2.text import RESERVED, Vocab, build_vocab, tokenize
+from m2i2.text import PAD, RESERVED, Vocab, build_vocab, tokenize
 from m2i2.trainer import (
     AdamState,
     adamw_step,
@@ -928,3 +928,85 @@ def test_one_fusion_pass_matches_two(caption_data, tmp_path, monkeypatch, strate
     calls.clear()
     pretrain(cfg, samples, root, tmp_path / "run")
     assert len(calls) == len(read_metrics(tmp_path / "run" / "metrics.jsonl"))
+
+
+# ---- ids cut after the batch's longest question ----------------------------
+
+
+def _full_width_vqa_loss(mp, cfg, images, question_ids, answers, vocab):
+    """vqa_forward_loss as it was before the cut: text and fusion on all
+    max_text_len columns."""
+    img_feats = model.encode_full_images(mp, images)
+    fused = model.fuse(mp, model.encode_text(mp, question_ids), img_feats, question_ids)
+    framed = [trainer.answer_targets(a, vocab, cfg.max_answer_len) for a in answers]
+    logits = model.decode_answer(mp, fused, question_ids, np.stack([pre for pre, _, _ in framed]))
+    b_idx = np.concatenate([np.full(n, i) for i, (_, _, n) in enumerate(framed)])
+    p_idx = np.concatenate([np.arange(n) for _, _, n in framed])
+    return cond_lm_loss(logits[b_idx, p_idx], np.concatenate([t[:n] for _, t, n in framed]))
+
+
+def test_vqa_forward_loss_runs_text_and_fusion_at_the_batch_width(vqa_data, monkeypatch):
+    root, samples = vqa_data
+    cfg = tiny_cfg(seed=4, phase="finetune")
+    mp = tiny_params(cfg, seed=4)
+    vocab = build_vocab([s.question for s in samples] + [s.answer for s in samples], cfg.vocab_size)
+    images = [load_image(os.path.join(root, s.image), channels=cfg.channels) for s in samples]
+    question_ids = np.stack([tokenize(s.question, vocab, cfg.max_text_len) for s in samples])
+    answers = [s.answer for s in samples]
+    lengths = (question_ids != PAD).sum(axis=1)
+    width = lengths.max()
+    assert width < cfg.max_text_len and lengths.min() < width
+
+    ref = _full_width_vqa_loss(mp, cfg, images, question_ids, answers, vocab)
+    ref.backward()
+    ref_grads = {n: p.grad for n, p in mp.params.items()}
+    mp.zero_grads()
+
+    widths = []
+
+    def recording(fn):
+        def wrapped(mp, *args, **kwargs):
+            widths.append((fn.__name__, args[-1].shape[1]))
+            return fn(mp, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(trainer, "encode_text", recording(model.encode_text))
+    monkeypatch.setattr(trainer, "fuse", recording(model.fuse))
+    loss = trainer.vqa_forward_loss(mp, cfg, images, question_ids, answers, vocab)
+    assert widths == [("encode_text", width), ("fuse", width)]
+    # forward values keep every bit; a weight gradient sums over fewer rows
+    assert loss.data.tobytes() == ref.data.tobytes()
+    loss.backward()
+    assert mp.params.keys() == ref_grads.keys()
+    for name, p in mp.params.items():
+        assert (p.grad is None) == (ref_grads[name] is None), name
+        if p.grad is not None:
+            np.testing.assert_allclose(p.grad, ref_grads[name], rtol=1e-9, err_msg=name)
+
+
+def test_momentum_text_encoder_runs_at_the_batch_width(caption_data, monkeypatch):
+    root, samples = caption_data
+    cfg = tiny_cfg(seed=6)
+    mp = tiny_params(cfg, seed=6)
+    vocab = build_vocab([s.caption for s in samples], cfg.vocab_size)
+    images = [load_image(os.path.join(root, s.image), channels=cfg.channels) for s in samples[:4]]
+    token_ids = [tokenize(s.caption, vocab, cfg.max_text_len) for s in samples[:4]]
+    batch = trainer.make_pretrain_batch(images, token_ids, cfg, vocab, np.random.default_rng(1))
+    width = (batch.ids != PAD).sum(axis=1).max()
+    assert width < cfg.max_text_len
+
+    calls = []
+
+    def recording(mp, ids, use_momentum=False):
+        calls.append((ids.shape[1], use_momentum))
+        return model.encode_text(mp, ids, use_momentum=use_momentum)
+
+    monkeypatch.setattr(trainer, "encode_text", recording)
+    queue = FeatureQueue(cfg.queue_capacity, cfg.proj_dim)
+    _, (img_proj_m, txt_proj_m) = trainer.pretrain_losses(mp, cfg, batch, queue, np.random.default_rng(2))
+    # the online encoder stays full width; the momentum one reads only CLS
+    assert calls == [(cfg.max_text_len, False), (width, True)]
+    full = model.encode_text(mp, batch.ids, use_momentum=True)
+    expected = model.project_itc(mp, full[:, 0, :], "txt", use_momentum=True).data
+    assert txt_proj_m.tobytes() == expected.tobytes()

@@ -11,6 +11,7 @@ from .errors import (
     CheckpointError,
     ConfigError,
     ContractError,
+    DataError,
     NumericsError,
     ShapeError,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "CheckpointError",
     "ConfigError",
     "ContractError",
+    "DataError",
     "NumericsError",
     "ShapeError",
     "EvalReport",

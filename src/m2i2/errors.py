@@ -19,3 +19,7 @@ class NumericsError(ArithmeticError):
 
 class CheckpointError(ValueError):
     """Checkpoint file is malformed or incompatible."""
+
+
+class DataError(ValueError):
+    """An input data file is malformed."""

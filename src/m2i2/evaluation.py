@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import ConfigError, ContractError
-from .model import ModelParams, decode_answer, encode_full_images, encode_text, full_width, fuse, text_width
+from .model import ModelParams, decode_answer, encode_full_images, encode_text, fuse, text_width
 from .synth import VqaSample
 from .tensor import Tensor, concat, cross_entropy, no_grad
 from .text import BOS, EOS, Vocab, detokenize, tokenize
@@ -89,21 +89,19 @@ def _encode(mp: ModelParams, images: list[Image], questions: list[str], vocab: V
 
 
 def _fuse(mp: ModelParams, enc: _Encoded, items: slice, capture: list | None = None):
-    """Fuse stage: fused features [b, max_text_len, dim] and token ids
-    [b, max_text_len] of an encoded call's items, in their order; the
-    features are zero at PAD positions.
+    """Fuse stage: fused features [b, W, dim] and token ids [b, W] of an
+    encoded call's items, in their order, cut after the items' longest
+    question (see text_width; so a captured map is [b, heads, W, S]).
 
-    The items' rows are gathered from the encode stage. Text and fusion run
-    on them cut after the items' longest question (so a captured map is
-    [b, heads, Lq, S]), with max_text_len key slots in self-attention (see
-    encode_text), then padded back to full width (see full_width). Rows
-    never mix, so every non-PAD row is bitwise the one a batch of one gives.
+    The items' rows are gathered from the encode stage, and fusion keeps
+    max_text_len key slots in self-attention (see encode_text). Rows never
+    mix, so every non-PAD row is bitwise the one a batch of one gives.
     """
     q_rows = enc.q_rows[items]
     ids = enc.ids[q_rows]
-    width = text_width(ids)
-    text, images = enc.text[q_rows, :width], enc.images[enc.img_rows[items]]
-    return full_width(fuse(mp, text, images, ids[:, :width], capture=capture), ids), ids
+    ids = ids[:, : text_width(ids)]
+    text, images = enc.text[q_rows, : ids.shape[1]], enc.images[enc.img_rows[items]]
+    return fuse(mp, text, images, ids, capture=capture), ids
 
 
 def _fuse_batch(
@@ -161,8 +159,8 @@ def generate_answers(
 
 
 def _greedy(mp: ModelParams, fused: Tensor, ids: np.ndarray, vocab: Vocab) -> list[list[int]]:
-    """Greedy answers of fused features and ids [b, max_text_len] (see
-    _fuse), one decoder step per token; run under no_grad.
+    """Greedy answers of fused features and ids [b, W] (see _fuse), one
+    decoder step per token; run under no_grad.
 
     The steps share a decode cache: the fused memory's cross-attention keys
     and values are projected once, and each step runs only the newest

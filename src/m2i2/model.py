@@ -412,15 +412,6 @@ def text_width(ids: np.ndarray) -> int:
     return max(2, 1 + np.flatnonzero((ids != PAD).any(axis=0))[-1])
 
 
-def full_width(features: Tensor, ids: np.ndarray) -> Tensor:
-    """Text-stream features [b, W, dim] of ids [b, L] cut to W columns (see
-    text_width), back at width L: zero rows appended and PAD rows zeroed,
-    so a decoder's memory keeps L slots whose PAD slots it masks."""
-    b, w, d = features.shape
-    tail = Tensor(np.zeros((b, ids.shape[1] - w, d)))
-    return concat([features, tail], axis=1) * (ids != PAD)[:, :, None]
-
-
 def encode_text(mp: ModelParams, ids: np.ndarray, use_momentum: bool = False) -> Tensor:
     """Text encoder; ids [b, L] with CLS first, PAD tail, L <= max_text_len.
     Returns [b, L, dim]. Self-attention keeps max_text_len key slots, so ids
@@ -473,9 +464,13 @@ def decode_answer(
 ) -> Tensor:
     """Causal answer decoder.
 
-    prefix_ids [b, Lp] must start with BOS. Cross-attention memory is the
-    full fused sequence with the fused CLS additionally prepended as the
-    first slot.
+    fused_context [b, W, dim] are the fused features of text_ids [b, W],
+    W <= max_text_len, as cut after the batch's longest question (see
+    text_width). prefix_ids [b, Lp] must start with BOS. Cross-attention
+    memory is the fused CLS, then the fused rows, under a mask of
+    1 + max_text_len key slots that masks PAD slots and the slots past the
+    rows; those get zero keys and values (see attention), except in
+    teacher forcing, which pads the rows back to max_text_len.
 
     Without a cache this is teacher forcing: returns next-token logits for
     every prefix position, [b, Lp, vocab]. With a cache (a dict, empty on
@@ -484,11 +479,8 @@ def decode_answer(
     the prefix positions the cache has not seen, appends their
     self-attention keys and values, and returns logits for those positions
     only: [b, Lp - seen, vocab]. Each call's prefix must extend the last
-    one's. The cached memory holds only the CLS slot and the fused rows up
-    to the batch's longest question (see text_width); the masked slots past
-    them get zero keys and values (see attention), which keeps the bits.
-    The cached logits equal the teacher-forced ones up to the last bits,
-    since one-row products take a different BLAS path.
+    one's. The cached logits equal the teacher-forced ones up to the last
+    bits, since one-row products take a different BLAS path.
     """
     P = mp.params
     cfg = mp.cfg
@@ -497,20 +489,29 @@ def decode_answer(
         raise ContractError("answer prefix must be a nonempty [b, Lp] id array")
     if (prefix_ids[:, 0] != BOS).any():
         raise ContractError("answer prefix must start with BOS")
-    Lp = prefix_ids.shape[1]
-    seen = cache.get("seen", 0) if cache is not None else 0
+    teacher_forcing = cache is None
+    if teacher_forcing:
+        cache = {}
+    Lp, seen = prefix_ids.shape[1], cache.get("seen", 0)
     if Lp <= seen:
         raise ContractError(f"answer prefix of length {Lp} adds nothing to the {seen} cached positions")
-    if cache is not None and "memory" in cache:
-        memory, mem_bias = cache["memory"]
-    else:
-        rows = fused_context if cache is None else fused_context[:, : text_width(text_ids)]
-        memory = concat([fused_context[:, 0:1, :], rows], axis=1)
+    if "memory" not in cache:
+        b, w, d = fused_context.shape
+        if text_ids.shape != (b, w):
+            raise ShapeError(f"text ids {text_ids.shape} for fused features {fused_context.shape}")
         # the fused CLS slot first, never masked
-        mem_ids = np.concatenate([np.full((len(text_ids), 1), CLS), text_ids], axis=1)
-        mem_bias = pad_bias(mem_ids, mem_ids.shape[1])
-        if cache is not None:
-            cache["memory"] = memory, mem_bias
+        mem_ids = np.concatenate([np.full((b, 1), CLS), text_ids], axis=1)
+        if teacher_forcing:
+            # the last full-width step: the rows padded to max_text_len, PAD rows
+            # zeroed. Cutting them keeps the loss's bits but regroups its
+            # gradient's sums, and criterion 4 passes or fails on such last bits
+            # until ROADMAP item 1 lands (item 2)
+            real = np.pad(text_ids != PAD, ((0, 0), (0, cfg.max_text_len - w)))
+            tail = Tensor(np.zeros((b, cfg.max_text_len - w, d)))
+            fused_context = concat([fused_context, tail], axis=1) * real[:, :, None]
+        memory = concat([fused_context[:, 0:1, :], fused_context], axis=1)
+        cache["memory"] = memory, pad_bias(mem_ids, 1 + cfg.max_text_len)
+    memory, mem_bias = cache["memory"]
     causal = np.where(np.tril(np.ones((Lp, Lp))) > 0, 0.0, NEG_BIAS)[None, None, seen:]
     x = P["tok_embed"][prefix_ids[:, seen:]] + P["ans_pos"][seen:Lp]
     out = transformer_stack(
@@ -524,8 +525,7 @@ def decode_answer(
         memory_bias=mem_bias,
         cache=cache,
     )
-    if cache is not None:
-        cache["seen"] = Lp
+    cache["seen"] = Lp
     return linear(out, P["ans_head.w"], P["ans_head.b"])
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .vision import Image, write_image
 
 SHAPES = ("circle", "square", "cross")
@@ -92,7 +93,7 @@ def generate_captions(n: int, seed: int, out_dir, image_size: int = 64) -> list[
         samples.append(CaptionSample(rel, caption_for(shape, pos, size, inten)))
     with open(os.path.join(out_dir, "captions.jsonl"), "w", encoding="utf-8") as f:
         for s in samples:
-            f.write(json.dumps({"image": s.image, "caption": s.caption}, sort_keys=True) + "\n")
+            f.write(json.dumps(asdict(s), sort_keys=True) + "\n")
     return samples
 
 
@@ -125,43 +126,27 @@ def generate_vqa(n: int, seed: int, out_dir, image_size: int = 64) -> list[VqaSa
     samples = samples[:n]
     with open(os.path.join(out_dir, "vqa.jsonl"), "w", encoding="utf-8") as f:
         for s in samples:
-            f.write(
-                json.dumps(
-                    {
-                        "image": s.image,
-                        "question": s.question,
-                        "answer": s.answer,
-                        "answer_type": s.answer_type,
-                        "question_form": s.question_form,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            f.write(json.dumps(asdict(s), sort_keys=True) + "\n")
     return samples
 
 
-def load_captions(root) -> list[CaptionSample]:
+def _load_manifest(path, sample: type) -> list:
+    """One sample per line of a JSON-lines manifest; a line that is not a
+    JSON object with sample's fields (those with defaults may be left out)
+    raises DataError naming the file and line."""
     out = []
-    with open(os.path.join(root, "captions.jsonl"), encoding="utf-8") as f:
-        for line in f:
-            d = json.loads(line)
-            out.append(CaptionSample(d["image"], d["caption"]))
+    with open(path, encoding="utf-8") as f:
+        for n, line in enumerate(f, 1):
+            try:
+                out.append(sample(**json.loads(line)))
+            except (ValueError, TypeError) as e:
+                raise DataError(f"{path} line {n}: not a {sample.__name__} JSON object: {e}") from e
     return out
+
+
+def load_captions(root) -> list[CaptionSample]:
+    return _load_manifest(os.path.join(root, "captions.jsonl"), CaptionSample)
 
 
 def load_vqa(root) -> list[VqaSample]:
-    out = []
-    with open(os.path.join(root, "vqa.jsonl"), encoding="utf-8") as f:
-        for line in f:
-            d = json.loads(line)
-            out.append(
-                VqaSample(
-                    d["image"],
-                    d["question"],
-                    d["answer"],
-                    d["answer_type"],
-                    d.get("question_form", "freeform"),
-                )
-            )
-    return out
+    return _load_manifest(os.path.join(root, "vqa.jsonl"), VqaSample)

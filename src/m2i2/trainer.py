@@ -29,7 +29,6 @@ from .model import (
     encode_full_images,
     encode_image,
     encode_text,
-    full_width,
     fuse,
     interpolate_positional,
     itm_logits,
@@ -56,6 +55,7 @@ CKPT_MAGIC = b"M2I2"
 CKPT_VERSION = 5
 CKPT_ALIGN = 64  # the data block starts at a multiple of this many bytes
 TEMP_MIN, TEMP_MAX = 0.01, 0.5
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 # ---- optimizer -----------------------------------------------------------
@@ -76,15 +76,7 @@ def cosine_lr(step: int, total_steps: int, lr_init: float, lr_final: float) -> f
     return lr_final + (lr_init - lr_final) * (1.0 + math.cos(math.pi * step / total_steps)) / 2.0
 
 
-def adamw_step(
-    mp: ModelParams,
-    state: AdamState,
-    lr: float,
-    weight_decay: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adamw_step(mp: ModelParams, state: AdamState, lr: float, weight_decay: float) -> None:
     """Decoupled weight decay, then bias-corrected Adam. Each parameter and
     moment is rebound to a new array, never written in place: a restored
     model holds the read-only arrays of the checkpoint it came from. A
@@ -103,11 +95,11 @@ def adamw_step(
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         p.data = p.data - lr * weight_decay * p.data
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        mhat = state.m[name] / (1 - beta1**t)
-        vhat = state.v[name] / (1 - beta2**t)
-        p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        mhat = state.m[name] / (1 - ADAM_BETA1**t)
+        vhat = state.v[name] / (1 - ADAM_BETA2**t)
+        p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def clip_global_norm(mp: ModelParams, max_norm: float) -> float:
@@ -607,21 +599,21 @@ def vqa_forward_loss(
     """Teacher-forced conditional LM loss for a VQA batch (full images).
 
     Text and fusion run on the question ids cut after the batch's longest
-    question (see text_width), and the fused features go back to full
-    width for the decoder's memory (see full_width). The loss is bitwise
+    question (see text_width), and so does the decoder's memory, which
+    teacher forcing pads back (see decode_answer). The loss is bitwise
     that of full-width ids; the gradients may differ in the last bits,
     since a weight gradient then sums over fewer rows.
     """
     img_feats = encode_full_images(mp, images)
     ids = question_ids[:, : text_width(question_ids)]
-    fused = full_width(fuse(mp, encode_text(mp, ids), img_feats, ids), question_ids)
+    fused = fuse(mp, encode_text(mp, ids), img_feats, ids)
     prefixes, targets, lens = [], [], []
     for a in answers:
         pre, tgt, n = answer_targets(a, vocab, cfg.max_answer_len)
         prefixes.append(pre)
         targets.append(tgt)
         lens.append(n)
-    logits = decode_answer(mp, fused, question_ids, np.stack(prefixes))
+    logits = decode_answer(mp, fused, ids, np.stack(prefixes))
     b_idx = np.concatenate([np.full(n, i) for i, n in enumerate(lens)])
     p_idx = np.concatenate([np.arange(n) for n in lens])
     flat = logits[b_idx, p_idx]

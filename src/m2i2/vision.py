@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DataError
 
 
 @dataclass
@@ -61,7 +61,9 @@ def _read_header(f) -> list[bytes]:
 
 
 def load_image(path, channels: int | None = None) -> Image:
-    """Read a binary PGM (P5) or PPM (P6) file; pixels scaled to [0,1]."""
+    """Read a binary PGM (P5) or PPM (P6) file; pixels scaled to [0,1]. A
+    header that is not one of these formats, or whose width, height or
+    maxval is not a positive integer (maxval 255), raises DataError."""
     try:
         f = open(path, "rb")
     except OSError as e:
@@ -69,13 +71,16 @@ def load_image(path, channels: int | None = None) -> Image:
     with f:
         magic = f.readline().split(b"#", 1)[0].strip()
         if magic not in (b"P5", b"P6"):
-            raise ValueError(f"unsupported image format {magic!r} in {path}")
+            raise DataError(f"unsupported image format {magic!r} in {path}")
         c = 1 if magic == b"P5" else 3
         f.seek(0)
-        _, w, h, maxval = _read_header(f)
-        w, h, maxval = int(w), int(h), int(maxval)
+        _, *fields = _read_header(f)
+        for name, value in zip(("width", "height", "maxval"), fields):
+            if not value.isdigit() or int(value) == 0:
+                raise DataError(f"{name} must be a positive integer, got {value.decode('latin-1')!r} in {path}")
+        w, h, maxval = map(int, fields)
         if maxval != 255:
-            raise ValueError(f"maxval must be 255, got {maxval} in {path}")
+            raise DataError(f"maxval must be 255, got {maxval} in {path}")
         raw = f.read(w * h * c)
         if len(raw) != w * h * c:
             raise IOError(f"truncated pixel data in {path}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from m2i2 import evaluation, model
+from m2i2 import evaluation
 from m2i2.config import preset
 from m2i2.evaluation import (
     EvalReport,
@@ -223,7 +223,7 @@ def test_cached_decoding_matches_teacher_forcing(setup):
             assert np.abs(step[0, -1, : len(vocab)] - forced[t]).max() <= 1e-12
 
 
-def test_decode_cache_projects_cross_attention_only_up_to_the_batch_width(setup, monkeypatch):
+def test_decode_cache_projects_cross_attention_only_up_to_the_batch_width(setup):
     root, samples, cfg, _, vocab = setup
     samples = samples[:7]
     imgs = [load_image(root / s.image, channels=1) for s in samples]
@@ -231,21 +231,23 @@ def test_decode_cache_projects_cross_attention_only_up_to_the_batch_width(setup,
     mp = _eos_biased_model(cfg, imgs, questions, vocab)
     fused, ids = evaluation._fuse_batch(mp, imgs, questions, vocab)
     width = max(_question_len(q, cfg, vocab) for q in questions)
-    assert width < cfg.max_text_len
+    assert width < cfg.max_text_len and fused.shape[1] == ids.shape[1] == width
+    # the control: the same rows padded to max_text_len, every slot projected
+    tail = cfg.max_text_len - width
+    padded = Tensor(np.pad(fused.data, ((0, 0), (0, tail), (0, 0))))
+    full_ids = np.pad(ids, ((0, 0), (0, tail)), constant_values=PAD)
     prefix = np.concatenate(
         [np.full((len(ids), 1), BOS), np.random.default_rng(3).integers(0, len(vocab), (len(ids), cfg.max_answer_len - 1))],
         axis=1,
     )
 
-    def cached_logits():
+    def cached_logits(fused, ids):
         cache = {}
         with no_grad():
             return cache, [decode_answer(mp, fused, ids, prefix[:, : t + 1], cache=cache).data for t in range(prefix.shape[1])]
 
-    monkeypatch.setattr(model, "text_width", lambda ids: ids.shape[1])
-    _, full = cached_logits()  # every slot projected, as without the cut
-    monkeypatch.undo()
-    cache, cut = cached_logits()
+    _, full = cached_logits(padded, full_ids)
+    cache, cut = cached_logits(fused, ids)
     # keys and values are projected from the CLS slot and the rows up to the
     # width; the cache keeps them at 1 + max_text_len slots, zero past the width
     assert cache["memory"][0].shape == (len(ids), 1 + width, cfg.dim)
@@ -253,6 +255,9 @@ def test_decode_cache_projects_cross_attention_only_up_to_the_batch_width(setup,
         for t in cache[f"ans_dec.{i}.xattn"]:
             assert t.shape == (len(ids), 1 + cfg.max_text_len, cfg.dim) and not t.data[:, 1 + width :].any()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(cut, full))
+    with no_grad():
+        forced = decode_answer(mp, fused, ids, prefix).data
+        assert forced.tobytes() == decode_answer(mp, padded, full_ids, prefix).data.tobytes()
     answers = generate_answers(mp, imgs, questions, vocab)
     assert answers == [generate_answer(mp, cfg, img, q, vocab) for img, q in zip(imgs, questions)]
 
@@ -304,19 +309,21 @@ def test_fuse_batch_encodes_each_distinct_input_once(setup, monkeypatch):
     assert len(capture) == cfg.depth_fusion
     # text and fusion run on the ids cut after the longest question
     assert all(c.shape == (5, cfg.heads, max(lengths), 1 + n) for c in capture)
-    assert fused.shape == (5, cfg.max_text_len, cfg.dim) and ids.shape == (5, cfg.max_text_len)
+    assert fused.shape == (5, max(lengths), cfg.dim) and ids.shape == (5, max(lengths))
+    # the non-PAD rows; a batch of one is cut after its own question
     for i, (f, row_ids, caps) in enumerate(singles):
-        assert np.array_equal(fused.data[i], f) and np.array_equal(ids[i], row_ids)
-        assert not fused.data[i, lengths[i] :].any()
-        # the non-PAD query rows; a batch of one is cut after its own question
-        assert all(np.array_equal(c.data[i, :, : lengths[i]], one[:, : lengths[i]]) for c, one in zip(capture, caps))
+        w = lengths[i]
+        assert np.array_equal(fused.data[i, :w], f[:w]) and np.array_equal(ids[i, :w], row_ids[:w])
+        assert (ids[i, w:] == PAD).all()
+        assert all(np.array_equal(c.data[i, :, :w], one[:, :w]) for c, one in zip(capture, caps))
 
 
 def test_fuse_batch_matches_full_width_ids_for_a_question_of_cls_alone(setup):
     root, samples, cfg, mp, vocab = setup
     img = load_image(root / samples[0].image, channels=1)
     fused, ids = evaluation._fuse_batch(mp, [img], [""], vocab)
-    assert (ids[0] != PAD).sum() == 1
+    assert (ids[0] != PAD).sum() == 1 and ids.shape == (1, 2)
+    ids = tokenize("", vocab, cfg.max_text_len)[None]
     full = fuse(mp, encode_text(mp, ids), encode_full_images(mp, [img]), ids)
     assert np.array_equal(fused.data[0, 0], full.data[0, 0])
 

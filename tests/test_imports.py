@@ -1,8 +1,9 @@
-"""Every module-level import in the m2i2 package is used by its module.
+"""Every module-level import in the m2i2 package, and every module-level
+``_``-prefixed function or class, is used by its module.
 
-Stdlib only: each module is parsed with ``ast``; a name an import binds
-counts as used when it is read anywhere in the module or listed in its
-``__all__``.
+Stdlib only: each module is parsed with ``ast``; a name an import or a
+definition binds counts as used when it is read anywhere in the module or
+listed in its ``__all__``.
 """
 
 import ast
@@ -15,10 +16,23 @@ import m2i2
 PACKAGE = Path(m2i2.__file__).parent
 
 
+def _read_names(tree: ast.Module) -> set[str]:
+    """The names tree reads anywhere, plus those its __all__ lists."""
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported
+
+
+def _unused(bound: dict[str, int], tree: ast.Module) -> list[str]:
+    read = _read_names(tree)
+    return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in read]
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     bound: dict[str, int] = {}
-    exported: set[str] = set()
     for node in tree.body:
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -26,12 +40,14 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported |= set(ast.literal_eval(node.value))
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported
-    return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in read]
+    return _unused(bound, tree)
+
+
+def unused_private_definitions(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    bound = {n.name: n.lineno for n in tree.body if isinstance(n, defs) and n.name.startswith("_")}
+    return _unused(bound, tree)
 
 
 def test_checker_flags_an_unused_import():
@@ -42,6 +58,17 @@ def test_checker_flags_an_unused_import():
     assert unused_imports('from .x import f\n__all__ = ["f"]\n') == []
 
 
+def test_checker_flags_an_unused_private_definition():
+    source = "def _a():\n    return _b()\n\ndef _b():\n    pass\n\nclass _C:\n    pass\n\ndef d():\n    pass\n"
+    assert unused_private_definitions(source) == ["_C (line 7)", "_a (line 1)"]
+    assert unused_private_definitions('def _f():\n    pass\n__all__ = ["_f"]\n') == []
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_private_definitions(path):
+    assert unused_private_definitions(path.read_text(encoding="utf-8")) == []

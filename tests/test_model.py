@@ -313,6 +313,13 @@ class TestDecodeAnswer:
         with pytest.raises(ContractError):
             decode_answer(ft_mp, fused, ids, np.array([[8, 9]]))
 
+    def test_text_ids_of_another_width_rejected(self, ft_mp):
+        fused, ids = self._fused(ft_mp)
+        with pytest.raises(ShapeError, match="text ids"):
+            decode_answer(ft_mp, fused[:, :5], ids, np.array([[BOS]]))
+        with pytest.raises(ShapeError, match="text ids"):
+            decode_answer(ft_mp, fused, ids[:, :5], np.array([[BOS]]), cache={})
+
     def test_cross_attention_is_live(self, ft_mp):
         fused, ids = self._fused(ft_mp)
         prefix = np.array([[BOS, 8]])

@@ -1,5 +1,9 @@
-import numpy as np
+import json
 
+import numpy as np
+import pytest
+
+from m2i2.errors import DataError
 from m2i2.synth import (
     INTENSITIES,
     POSITIONS,
@@ -82,6 +86,41 @@ def test_vqa_answers_consistent(tmp_path):
 def test_vqa_roundtrip_manifest(tmp_path):
     samples = generate_vqa(12, 0, tmp_path)
     assert load_vqa(tmp_path) == samples
+
+
+def test_manifests_write_every_field_in_sorted_key_order(tmp_path):
+    captions = generate_captions(6, 1, tmp_path)
+    expected = [{"image": s.image, "caption": s.caption} for s in captions]
+    assert (tmp_path / "captions.jsonl").read_text() == "".join(json.dumps(d, sort_keys=True) + "\n" for d in expected)
+    qa = generate_vqa(12, 0, tmp_path)
+    fields = ("image", "question", "answer", "answer_type", "question_form")
+    expected = [{k: getattr(s, k) for k in fields} for s in qa]
+    assert (tmp_path / "vqa.jsonl").read_text() == "".join(json.dumps(d, sort_keys=True) + "\n" for d in expected)
+
+
+def test_vqa_line_without_question_form_is_freeform(tmp_path):
+    (tmp_path / "vqa.jsonl").write_text('{"image": "a.pgm", "question": "q", "answer": "a", "answer_type": "open"}\n')
+    assert load_vqa(tmp_path)[0].question_form == "freeform"
+
+
+MALFORMED = {
+    "not json": lambda d: json.dumps(d)[:-1],
+    "not an object": lambda d: json.dumps(list(d.values())),
+    "missing key": lambda d: json.dumps({k: v for k, v in d.items() if k != "image"}),
+    "unknown key": lambda d: json.dumps({**d, "extra": 1}),
+}
+
+
+@pytest.mark.parametrize("fault", MALFORMED)
+@pytest.mark.parametrize("manifest", ["captions", "vqa"])
+def test_malformed_manifest_line_raises_data_error_naming_file_and_line(tmp_path, manifest, fault):
+    good = {"image": "a.pgm", "caption": "c"}
+    if manifest == "vqa":
+        good = {"image": "a.pgm", "question": "q", "answer": "a", "answer_type": "open"}
+    (tmp_path / f"{manifest}.jsonl").write_text(json.dumps(good) + "\n" + MALFORMED[fault](good) + "\n")
+    load = load_captions if manifest == "captions" else load_vqa
+    with pytest.raises(DataError, match=rf"{manifest}\.jsonl line 2"):
+        load(tmp_path)
 
 
 def test_vqa_shares_images_across_questions(tmp_path):

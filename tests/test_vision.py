@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from m2i2.errors import ConfigError, ContractError
+from m2i2.errors import ConfigError, ContractError, DataError
 from m2i2.vision import (
     Image,
     augment,
@@ -55,6 +55,17 @@ class TestImageIO:
         p = tmp_path / "t.pgm"
         p.write_bytes(b"P5\n1 1\n65535\n\0\0")
         with pytest.raises(ValueError, match="maxval"):
+            load_image(p)
+
+    @pytest.mark.parametrize(
+        "header, field",
+        [(b"P5\n0 5\n255\n", "width"), (b"P5\n-2 -2\n255\n", "width"), (b"P5\nab 2\n255\n", "width"),
+         (b"P5\n2 0\n255\n", "height"), (b"P5\n1 1\n0\n", "maxval")],
+    )
+    def test_header_field_that_is_not_a_positive_integer(self, tmp_path, header, field):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(header + bytes(4))
+        with pytest.raises(DataError, match=f"{field} must be a positive integer.*t\\.pgm"):
             load_image(p)
 
     def test_header_comments(self, tmp_path):

@@ -6,7 +6,7 @@ four pretraining objectives over a momentum feature bank, an AdamW trainer
 with bitwise-reproducible checkpoints, and a greedy generative evaluator.
 """
 
-from .config import PRESETS, TrainConfig, preset
+from .config import PRESETS, ModelConfig, TrainConfig, preset
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -16,7 +16,7 @@ from .errors import (
     ShapeError,
 )
 from .evaluation import EvalReport, attention_map, evaluate, generate_answer, generate_answers
-from .model import ModelConfig, ModelParams
+from .model import ModelParams
 from .momentum import FeatureQueue, enqueue, momentum_update
 from .objectives import (
     combined_loss,

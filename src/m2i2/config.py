@@ -1,24 +1,99 @@
 """Run configuration: one flat serializable record of every hyperparameter.
 
-TrainConfig extends the model's ModelConfig with the training keys, so each
-key is declared once. JSON on disk, flat keys only. Unknown keys are hard
-errors so configuration drift cannot pass silently. Presets: "test" (depth-1
-smoke scale), "desk" (CPU-trainable default), "paper" (published
-depths/sizes; loadable, not expected to run at desk scale).
+ModelConfig declares the model keys and TrainConfig extends it with the
+training keys, so each key is declared once. Both are frozen and check every
+key's type and value when built, so a config that exists is one a run can
+use; dataclasses.replace builds a checked variant. JSON on disk, flat keys
+only. Unknown keys are hard errors so configuration drift cannot pass
+silently. Presets: "test" (depth-1 smoke scale), "desk" (CPU-trainable
+default), "paper" (published depths/sizes; loadable, not expected to run at
+desk scale).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import typing
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import ModelConfig
 
 
-@dataclass
+@dataclass(frozen=True)
+class ModelConfig:
+    # the phase and, in pretraining, the objectives decide the tensors held
+    phase: str = "pretrain"  # pretrain | finetune
+    enable_mim: bool = True
+    enable_mlm: bool = True
+    enable_itm: bool = True
+    enable_itc: bool = True
+    dim: int = 64
+    heads: int = 4
+    depth_img_enc: int = 2
+    depth_txt_enc: int = 2
+    depth_fusion: int = 2
+    depth_img_dec: int = 2
+    depth_ans_dec: int = 2
+    vocab_size: int = 512
+    max_text_len: int = 24
+    max_answer_len: int = 8
+    image_size: int = 64
+    patch_size: int = 16
+    channels: int = 1
+    proj_dim: int = 32
+
+    def __post_init__(self):
+        # every field of the built class, TrainConfig's too, before any rule reads one
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _is_a(value, f.type):
+                raise ConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
+        if self.phase not in ("pretrain", "finetune"):
+            raise ConfigError(f"unknown phase {self.phase!r}")
+        if self.dim % self.heads:
+            raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
+        if self.image_size % self.patch_size:
+            raise ConfigError("image_size must be divisible by patch_size")
+        # a text row holds CLS and one token; an answer row BOS and one token
+        if self.max_text_len < 2 or self.max_answer_len < 2:
+            raise ConfigError("max_text_len and max_answer_len must be >= 2")
+
+    def runs(self, owner: str) -> bool:
+        """Whether this run trains owner, a key of model.OWNED."""
+        if self.phase == "finetune":
+            return owner == "finetune"
+        return owner != "finetune" and getattr(self, f"enable_{owner}")
+
+    @property
+    def grid(self) -> tuple[int, int]:
+        g = self.image_size // self.patch_size
+        return (g, g)
+
+    @property
+    def n_patches(self) -> int:
+        r, c = self.grid
+        return r * c
+
+    @property
+    def patch_dim(self) -> int:
+        return self.patch_size * self.patch_size * self.channels
+
+
+# a field's annotation is a string under `from __future__ import annotations`
+_KINDS = {"bool": bool, "int": int, "float": float, "str": str}
+
+
+def _is_a(value, kind: str) -> bool:
+    """Whether value fits a field annotated kind. Python's bool is an int, but
+    only bool fields take it; float fields also take int."""
+    if isinstance(value, bool):
+        return kind == "bool"
+    if kind == "float":
+        return isinstance(value, (int, float))
+    return isinstance(value, _KINDS[kind])
+
+
+@dataclass(frozen=True)
 class TrainConfig(ModelConfig):
     """The model keys (ModelConfig's fields) plus the training keys below."""
 
@@ -39,9 +114,8 @@ class TrainConfig(ModelConfig):
     queue_capacity: int = 512
     negative_strategy: str = "uniform"  # uniform | hard
 
-    def validate(self) -> "TrainConfig":
-        # fields may have been assigned since construction
-        self.model_config()
+    def __post_init__(self):
+        super().__post_init__()
         if self.lr_final > self.lr_init:
             raise ConfigError("lr_final must be <= lr_init")
         if self.epochs < 1:
@@ -52,7 +126,7 @@ class TrainConfig(ModelConfig):
         if self.negative_strategy not in ("uniform", "hard"):
             raise ConfigError(f"unknown negative_strategy {self.negative_strategy!r}")
         if self.phase != "pretrain":
-            return self
+            return
         if not (self.enable_mim or self.enable_mlm or self.enable_itm or self.enable_itc):
             raise ConfigError("all pretraining objectives disabled")
         for key in ("text_mask_rate", "image_mask_rate"):
@@ -66,7 +140,6 @@ class TrainConfig(ModelConfig):
             raise ConfigError(f"queue_capacity must be >= {self.batch_size}, got {self.queue_capacity}")
         if self.enable_itc and not 0.0 < self.momentum_m < 1.0:
             raise ConfigError(f"momentum_m must be in (0,1), got {self.momentum_m}")
-        return self
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)})
@@ -84,37 +157,11 @@ class TrainConfig(ModelConfig):
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in d.items():
-            if not _is_a(value, _FIELD_TYPES[key]):
-                raise ConfigError(f"config key {key!r} must be {_FIELD_TYPES[key].__name__}, got {value!r}")
-        return cls(**d).validate()
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def load(cls, path) -> "TrainConfig":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(f.read())
+        return cls(**d)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             f.write(self.to_json())
-
-
-# resolved once: get_type_hints costs ~30x a whole from_dict call
-_FIELD_TYPES: dict[str, type] = typing.get_type_hints(TrainConfig)
-
-
-def _is_a(value, kind: type) -> bool:
-    """Whether value fits a field of type kind. Python's bool is an int, but
-    only bool fields take it; float fields also take int."""
-    if isinstance(value, bool):
-        return kind is bool
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
 
 
 PRESETS = {

@@ -219,6 +219,8 @@ def evaluate(
     longest question (see _fuse), and decoded by the cached greedy loop
     (see _greedy). Predictions equal per-question generate_answer calls.
     """
+    if answer_type_filter not in ("all", "free"):
+        raise ConfigError(f"unknown answer_type_filter {answer_type_filter!r}; choose 'all' or 'free'")
     if answer_type_filter == "free":
         samples = [s for s in samples if s.question_form == "freeform"]
     if not samples:

@@ -17,11 +17,10 @@ the decode cache a caller may pass to decode_answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .config import ModelConfig
+from .errors import ContractError, ShapeError
 from .tensor import Tensor, concat, layer_norm, linear, mlp, scaled_dot_product_attention
 from .text import BOS, CLS, PAD
 from .vision import Image, augment, patchify, resize_bilinear
@@ -29,61 +28,6 @@ from .vision import Image, augment, patchify, resize_bilinear
 NEG_BIAS = -1e9
 MLP_RATIO = 4  # hidden width of every transformer MLP, in multiples of dim
 OBJECTIVES = ("mim", "mlm", "itm", "itc")
-
-
-@dataclass
-class ModelConfig:
-    # the phase and, in pretraining, the objectives decide the tensors held
-    phase: str = "pretrain"  # pretrain | finetune
-    enable_mim: bool = True
-    enable_mlm: bool = True
-    enable_itm: bool = True
-    enable_itc: bool = True
-    dim: int = 64
-    heads: int = 4
-    depth_img_enc: int = 2
-    depth_txt_enc: int = 2
-    depth_fusion: int = 2
-    depth_img_dec: int = 2
-    depth_ans_dec: int = 2
-    vocab_size: int = 512
-    max_text_len: int = 24
-    max_answer_len: int = 8
-    image_size: int = 64
-    patch_size: int = 16
-    channels: int = 1
-    proj_dim: int = 32
-
-    def __post_init__(self):
-        if self.phase not in ("pretrain", "finetune"):
-            raise ConfigError(f"unknown phase {self.phase!r}")
-        if self.dim % self.heads:
-            raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.image_size % self.patch_size:
-            raise ConfigError("image_size must be divisible by patch_size")
-        # a text row holds CLS and one token; an answer row BOS and one token
-        if self.max_text_len < 2 or self.max_answer_len < 2:
-            raise ConfigError("max_text_len and max_answer_len must be >= 2")
-
-    def runs(self, owner: str) -> bool:
-        """Whether this run trains owner, a key of OWNED."""
-        if self.phase == "finetune":
-            return owner == "finetune"
-        return owner != "finetune" and getattr(self, f"enable_{owner}")
-
-    @property
-    def grid(self) -> tuple[int, int]:
-        g = self.image_size // self.patch_size
-        return (g, g)
-
-    @property
-    def n_patches(self) -> int:
-        r, c = self.grid
-        return r * c
-
-    @property
-    def patch_dim(self) -> int:
-        return self.patch_size * self.patch_size * self.channels
 
 
 # name prefixes of the tensors each objective, and finetuning, owns; a model holds

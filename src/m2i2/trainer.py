@@ -418,7 +418,7 @@ def pretrain_losses(
         txt_in, img_in, ids_in = txt_feats, img_feats, batch.ids
         if cfg.enable_itm:
             sims = None
-            if cfg.negative_strategy == "hard":  # validate() requires ITC for it
+            if cfg.negative_strategy == "hard":  # the config requires ITC for it
                 sims = img_proj.data @ txt_proj.data.T
             j = pair_negatives(b, rng, cfg.negative_strategy, sims)
             # rows [:b] pair each image with its own caption and rows [b:]
@@ -472,7 +472,6 @@ def _train(
     batch and returns its loss, its log fields and a callable to run after
     the optimizer step.
     """
-    cfg.validate()
     if cfg.phase != phase:
         raise ConfigError(f"{phase}() needs a {phase} config, got phase {cfg.phase!r}")
     if len(samples) < 2:

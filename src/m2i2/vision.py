@@ -49,12 +49,12 @@ class MaskedPatches:
         return np.setdiff1d(np.arange(self.n_patches), self.mask_positions)
 
 
-def _read_header(f) -> list[bytes]:
+def _read_header(f, path) -> list[bytes]:
     fields: list[bytes] = []
     while len(fields) < 4:
         line = f.readline()
         if not line:
-            raise IOError("truncated header")
+            raise DataError(f"truncated header in {path}")
         line = line.split(b"#", 1)[0]
         fields.extend(line.split())
     return fields[:4]
@@ -62,8 +62,9 @@ def _read_header(f) -> list[bytes]:
 
 def load_image(path, channels: int | None = None) -> Image:
     """Read a binary PGM (P5) or PPM (P6) file; pixels scaled to [0,1]. A
-    header that is not one of these formats, or whose width, height or
-    maxval is not a positive integer (maxval 255), raises DataError."""
+    header that is not one of these formats, is cut short, or whose width,
+    height or maxval is not a positive integer (maxval 255), and pixel data
+    cut short, raise DataError; a file that cannot be opened, OSError."""
     try:
         f = open(path, "rb")
     except OSError as e:
@@ -74,7 +75,7 @@ def load_image(path, channels: int | None = None) -> Image:
             raise DataError(f"unsupported image format {magic!r} in {path}")
         c = 1 if magic == b"P5" else 3
         f.seek(0)
-        _, *fields = _read_header(f)
+        _, *fields = _read_header(f, path)
         for name, value in zip(("width", "height", "maxval"), fields):
             if not value.isdigit() or int(value) == 0:
                 raise DataError(f"{name} must be a positive integer, got {value.decode('latin-1')!r} in {path}")
@@ -83,7 +84,7 @@ def load_image(path, channels: int | None = None) -> Image:
             raise DataError(f"maxval must be 255, got {maxval} in {path}")
         raw = f.read(w * h * c)
         if len(raw) != w * h * c:
-            raise IOError(f"truncated pixel data in {path}")
+            raise DataError(f"truncated pixel data in {path}")
     px = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, c).astype(np.float64) / 255.0
     if channels == 3 and c == 1:
         px = np.repeat(px, 3, axis=2)

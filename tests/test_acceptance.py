@@ -258,7 +258,7 @@ def test_criterion_05_ablation_mechanics(caption32, tmp_path):
     )
 
     try:
-        TrainConfig(enable_mim=False, enable_mlm=False, enable_itm=False, enable_itc=False).validate()
+        TrainConfig(enable_mim=False, enable_mlm=False, enable_itm=False, enable_itc=False)
         rejected = False
     except ConfigError:
         rejected = True

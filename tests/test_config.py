@@ -1,14 +1,15 @@
+import dataclasses
 import json
 
 import pytest
 
-from m2i2.config import PRESETS, TrainConfig, preset
+from m2i2.config import PRESETS, ModelConfig, TrainConfig, preset
 from m2i2.errors import ConfigError
 
 
 def test_roundtrip_json():
     cfg = TrainConfig(seed=3, dim=32, enable_itc=False)
-    again = TrainConfig.from_json(cfg.to_json())
+    again = TrainConfig.from_dict(json.loads(cfg.to_json()))
     assert again == cfg
 
 
@@ -22,7 +23,7 @@ def test_unknown_key_rejected():
 @pytest.mark.parametrize("text", ["5", "null", '"abc"'])
 def test_non_object_json_rejected(text):
     with pytest.raises(ConfigError, match="JSON object"):
-        TrainConfig.from_json(text)
+        TrainConfig.from_dict(json.loads(text))
 
 
 def test_unknown_preset_rejected():
@@ -32,14 +33,14 @@ def test_unknown_preset_rejected():
 
 def test_validate_lr_order():
     with pytest.raises(ConfigError):
-        TrainConfig(lr_init=1e-5, lr_final=1e-4).validate()
+        TrainConfig(lr_init=1e-5, lr_final=1e-4)
 
 
 def test_validate_itm_needs_pairs():
     with pytest.raises(ConfigError):
-        TrainConfig(batch_size=1).validate()
+        TrainConfig(batch_size=1)
     with pytest.raises(ConfigError):
-        TrainConfig(batch_size=1, enable_itm=False).validate()
+        TrainConfig(batch_size=1, enable_itm=False)
 
 
 @pytest.mark.parametrize(
@@ -72,7 +73,7 @@ def test_validate_itm_needs_pairs():
 )
 def test_validate_rejects_what_training_cannot_run(overrides):
     with pytest.raises(ConfigError):
-        TrainConfig(**overrides).validate()
+        TrainConfig(**overrides)
 
 
 @pytest.mark.parametrize(
@@ -86,26 +87,22 @@ def test_validate_rejects_what_training_cannot_run(overrides):
     ids=["finetune", "no-itc", "queue-empty-no-itc", "hard-negatives-no-itm"],
 )
 def test_validate_ignores_keys_the_run_never_reads(overrides):
-    cfg = TrainConfig(**overrides)
-    assert cfg.validate() is cfg
+    TrainConfig(**overrides)
 
 
 def test_validate_all_objectives_off():
     with pytest.raises(ConfigError):
-        TrainConfig(
-            enable_mim=False, enable_mlm=False, enable_itm=False, enable_itc=False
-        ).validate()
+        TrainConfig(enable_mim=False, enable_mlm=False, enable_itm=False, enable_itc=False)
 
 
 def test_validate_phase():
     with pytest.raises(ConfigError):
-        TrainConfig(phase="transfer").validate()
+        TrainConfig(phase="transfer")
 
 
 def test_presets_are_valid():
     for name in PRESETS:
-        cfg = preset(name)
-        assert cfg.validate() is cfg
+        preset(name)
 
 
 def test_preset_overrides():
@@ -138,4 +135,37 @@ def test_save_load(tmp_path):
     cfg = preset("test", seed=9)
     p = tmp_path / "cfg.json"
     cfg.save(p)
-    assert TrainConfig.load(p) == cfg
+    assert TrainConfig.from_dict(json.loads(p.read_text(encoding="utf-8"))) == cfg
+
+
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda: TrainConfig(epochs=1.5), "epochs"),
+        (lambda: TrainConfig(enable_itc=1), "enable_itc"),
+        (lambda: TrainConfig(lr_init=True), "lr_init"),
+        (lambda: ModelConfig(dim="64"), "dim"),
+    ],
+    ids=["float-for-int", "int-for-bool", "bool-for-float", "str-for-int"],
+)
+def test_construction_checks_each_key_type(build, key):
+    with pytest.raises(ConfigError, match=repr(key)):
+        build()
+
+
+def test_configs_are_frozen():
+    cfg = preset("test")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.epochs = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.model_config().dim = 32
+    assert cfg == preset("test")
+
+
+def test_replace_checks_the_variant():
+    cfg = preset("test")
+    with pytest.raises(ConfigError, match="batch_size"):
+        dataclasses.replace(cfg, batch_size=1)
+    with pytest.raises(ConfigError, match="heads"):
+        dataclasses.replace(cfg.model_config(), heads=3)
+    assert dataclasses.replace(cfg, epochs=1).epochs == 1

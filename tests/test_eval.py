@@ -106,6 +106,13 @@ def test_evaluate_empty_after_filter_rejected(setup):
         evaluate(mp, cfg, closed_para, root, vocab, answer_type_filter="free")
 
 
+@pytest.mark.parametrize("name", ["closed", "open", "Free"])
+def test_evaluate_unknown_filter_rejected(setup, name):
+    root, samples, cfg, mp, vocab = setup
+    with pytest.raises(ConfigError, match="answer_type_filter"):
+        evaluate(mp, cfg, samples, root, vocab, answer_type_filter=name)
+
+
 def _eos_biased_model(cfg, imgs, questions, vocab):
     """A fresh model with an EOS bias inside the spread of first-step
     margins: some rows stop at once, while the rest of their batch decodes on."""

@@ -1,5 +1,6 @@
 """Every module-level import in the m2i2 package, and every module-level
-``_``-prefixed function or class, is used by its module.
+``_``-prefixed function or class, is used by its module; and config, which
+every other module reads, reads no m2i2 module but errors.
 
 Stdlib only: each module is parsed with ``ast``; a name an import or a
 definition binds counts as used when it is read anywhere in the module or
@@ -72,3 +73,25 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_private_definitions(path):
     assert unused_private_definitions(path.read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The m2i2 modules source imports, at any depth, relatively or by name."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "m2i2"):
+            module = node.module if node.level else node.module.partition(".")[2]
+            found |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[2] for alias in node.names if alias.name.startswith("m2i2.")}
+    return found
+
+
+def test_checker_finds_package_imports():
+    source = "import os\nfrom . import text\nfrom .model import X\nimport m2i2.vision\ndef f():\n    from m2i2.tensor import T\n"
+    assert package_imports(source) == {"text", "model", "vision", "tensor"}
+    assert package_imports("from m2i2 import trainer\nimport numpy\n") == {"trainer"}
+
+
+def test_config_imports_only_errors():
+    assert package_imports((PACKAGE / "config.py").read_text(encoding="utf-8")) == {"errors"}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import mmap
@@ -529,10 +530,8 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
 
 def test_restore_shape_mismatch_names_tensors(tmp_path):
     cfg, *_rest, path = _ckpt_fixture(tmp_path)
-    other = tiny_cfg(seed=1)
-    other.dim = 32
     with pytest.raises(CheckpointError) as e:
-        restore_model(load_checkpoint(path), other)
+        restore_model(load_checkpoint(path), dataclasses.replace(tiny_cfg(seed=1), dim=32))
     assert "tok_embed" in str(e.value)
 
 
@@ -739,16 +738,11 @@ def test_finetune_from_scratch_runs(vqa_data, tmp_path):
 def test_bad_input_fails_before_any_output(caption_data, tmp_path, bad):
     root, samples = caption_data
     cfg = tiny_cfg()
-    if bad == "heads":
-        cfg.heads = 3  # construction already refuses it
-    elif bad == "queue":
-        cfg.queue_capacity = cfg.batch_size - 1
-    elif bad == "epochs":
-        cfg.epochs = 0
-    else:
+    overrides = {"heads": dict(heads=3), "queue": dict(queue_capacity=cfg.batch_size - 1), "epochs": dict(epochs=0)}
+    if bad == "one sample":
         samples = samples[:1]
     with pytest.raises(ConfigError):
-        pretrain(cfg, samples, root, tmp_path / "run")
+        pretrain(dataclasses.replace(cfg, **overrides.get(bad, {})), samples, root, tmp_path / "run")
     assert not (tmp_path / "run").exists()
 
 

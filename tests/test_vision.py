@@ -48,8 +48,16 @@ class TestImageIO:
     def test_truncated(self, tmp_path):
         p = tmp_path / "t.pgm"
         p.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
-        with pytest.raises(IOError, match="truncated"):
+        with pytest.raises(DataError, match="truncated pixel data") as e:
             load_image(p)
+        assert str(p) in str(e.value)
+
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(b"P5\n2")
+        with pytest.raises(DataError, match="truncated header") as e:
+            load_image(p)
+        assert str(p) in str(e.value)
 
     def test_bad_maxval(self, tmp_path):
         p = tmp_path / "t.pgm"

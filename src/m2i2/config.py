@@ -50,6 +50,11 @@ class ModelConfig:
                 raise ConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
         if self.phase not in ("pretrain", "finetune"):
             raise ConfigError(f"unknown phase {self.phase!r}")
+        for key in _SIZES:
+            if getattr(self, key) < 1:
+                raise ConfigError(f"config key {key!r} must be >= 1, got {getattr(self, key)}")
+        if self.channels not in (1, 3):
+            raise ConfigError(f"config key 'channels' must be 1 (grey) or 3 (RGB), got {self.channels}")
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.image_size % self.patch_size:
@@ -78,6 +83,12 @@ class ModelConfig:
     def patch_dim(self) -> int:
         return self.patch_size * self.patch_size * self.channels
 
+
+# the model's sizes and depths, each a count of at least one
+_SIZES = (
+    "dim", "heads", "depth_img_enc", "depth_txt_enc", "depth_fusion", "depth_img_dec", "depth_ans_dec",
+    "vocab_size", "image_size", "patch_size", "proj_dim",
+)
 
 # a field's annotation is a string under `from __future__ import annotations`
 _KINDS = {"bool": bool, "int": int, "float": float, "str": str}

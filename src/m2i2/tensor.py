@@ -7,6 +7,14 @@ the graph in reverse topological order and accumulates ``.grad`` on every
 visited tensor, so intermediate activations (e.g. captured attention maps)
 expose gradients too, not just leaf parameters.
 
+Backward consumes the tape as it walks it: once a node has handed its
+gradient to its parents, it forgets them and its closure, so every node
+nearer the loss is freed while backward is still working toward the
+inputs. Only the tensors the caller still holds (the root, parameters, a
+captured attention map) keep their ``.data`` and ``.grad``. A consumed node
+cannot be backpropagated through again: a later backward that reaches one
+raises ContractError.
+
 Everything is float64. Any forward result containing NaN/Inf raises
 NumericsError instead of propagating silently; a fused op also checks the
 values it computes inside its one node. Inside ``no_grad()`` no tape is
@@ -262,7 +270,10 @@ class Tensor:
     # ---- backward --------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-accumulate gradients from this scalar through the tape."""
+        """Reverse-accumulate gradients from this scalar through the tape,
+        consuming it: only the tensors the caller holds keep a ``.grad``
+        (see the module docstring). Raises ContractError, before any
+        gradient is formed, if the tape reaches a consumed node."""
         if self.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {self.shape}")
         if not self.requires_grad:
@@ -277,15 +288,26 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                raise ContractError(f"{node!r} was consumed by an earlier backward(); build the graph again")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:  # a leaf
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._parents, node._backward = (), _consumed
+
+
+def _consumed(g: np.ndarray) -> None:
+    """The closure of a node whose backward has run; backward() refuses it."""
+    raise ContractError("this node was consumed by an earlier backward()")
 
 
 def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
@@ -308,7 +330,21 @@ def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray) -> None:
     if a.requires_grad:
         _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
     if b.requires_grad:
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        _accum(b, _rhs_grad(a.data, g, b.shape))
+
+
+def _rhs_grad(x: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of the right operand of x @ w, of the given shape, for
+    the product's gradient g. A [n, m] weight applied to a [b, L, n] batch
+    gets x[i]ᵀ g[i] added into one [n, m] array in sample order: bitwise the
+    sum over axis 0 of the [b, n, m] stack of per-sample products, which it
+    never forms."""
+    if x.ndim != 3 or len(shape) != 2:
+        return _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), shape)
+    out = np.matmul(x[0].T, g[0])
+    for i in range(1, x.shape[0]):
+        out += np.matmul(x[i].T, g[i])
+    return out
 
 
 def _finite(data: np.ndarray, what: str) -> None:
@@ -530,7 +566,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         if b2.requires_grad:
             _accum(b2, _unbroadcast(g, b2.shape))
         if w2.requires_grad:
-            _accum(w2, _unbroadcast(np.matmul(np.swapaxes(act, -1, -2), g), w2.shape))
+            _accum(w2, _rhs_grad(act, g, w2.shape))
         if x.requires_grad or w1.requires_grad or b1.requires_grad:
             gh = _gelu_grad(hidden, t, np.matmul(g, np.swapaxes(w2.data, -1, -2)))
             if b1.requires_grad:

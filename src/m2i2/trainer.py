@@ -476,7 +476,10 @@ def _train(
         raise ConfigError(f"{phase}() needs a {phase} config, got phase {cfg.phase!r}")
     if len(samples) < 2:
         raise ConfigError(f"{phase} needs at least 2 samples, got {len(samples)}")
-    images = [load_image(os.path.join(data_root, s.image), channels=cfg.channels) for s in samples]
+    # one Image per distinct file, shared by the samples that show it
+    files = dict.fromkeys(s.image for s in samples)
+    loaded = {f: load_image(os.path.join(data_root, f), channels=cfg.channels) for f in files}
+    images = [loaded[s.image] for s in samples]
 
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
@@ -511,9 +514,6 @@ def _train(
                 batch = [[seq[i] for i in batch_idx] for seq in (samples, images, token_ids)]
                 loss, fields, after_step = forward(mp, queue, vocab, *batch, step)
                 loss.backward()
-                # frees this step's tape now rather than when the next step's
-                # forward returns, so two steps' graphs are never alive at once
-                del loss
                 grad_norm = clip_global_norm(mp, cfg.grad_clip)
                 adamw_step(mp, adam, lr, cfg.weight_decay)
                 after_step()

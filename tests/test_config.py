@@ -145,8 +145,19 @@ def test_save_load(tmp_path):
         (lambda: TrainConfig(enable_itc=1), "enable_itc"),
         (lambda: TrainConfig(lr_init=True), "lr_init"),
         (lambda: ModelConfig(dim="64"), "dim"),
+        (lambda: ModelConfig(heads=0), "heads"),
+        (lambda: ModelConfig(patch_size=0), "patch_size"),
+        (lambda: ModelConfig(dim=-64), "dim"),
+        (lambda: ModelConfig(depth_fusion=0), "depth_fusion"),
+        (lambda: TrainConfig(proj_dim=0), "proj_dim"),
+        (lambda: TrainConfig(phase="finetune", vocab_size=-1), "vocab_size"),
+        (lambda: ModelConfig(channels=0), "channels"),
+        (lambda: ModelConfig(channels=2), "channels"),
     ],
-    ids=["float-for-int", "int-for-bool", "bool-for-float", "str-for-int"],
+    ids=[
+        "float-for-int", "int-for-bool", "bool-for-float", "str-for-int", "heads-0", "patch-0", "dim-negative",
+        "depth-0", "proj-0", "vocab-negative", "channels-0", "channels-2",
+    ],
 )
 def test_construction_checks_each_key_type(build, key):
     with pytest.raises(ConfigError, match=repr(key)):

@@ -1,6 +1,8 @@
 import ast
 import math
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -85,7 +87,12 @@ class TestMatmul:
         monkeypatch.setattr(tensor_mod, "np", CountingNumpy())
         loss.backward()
         const, live = (left, right) if const_left else (right, left)
-        assert len(products) == 1 and const.grad is None and live.grad is not None
+        assert const.grad is None and live.grad is not None
+        # the live side's gradient multiplies the const side's data: x[i]ᵀ g[i]
+        # per sample for a weight (see _rhs_grad), one g @ wᵀ product otherwise
+        reads = 0 if const_left else 1
+        assert len(products) == (5 if const_left and len(rhs_shape) == 2 else 1)
+        assert all(np.shares_memory(p[reads], const.data) for p in products)
 
 
 def test_gelu_and_softmax_keep_their_written_formulas_bitwise():
@@ -198,6 +205,24 @@ class TestCrossEntropy:
         assert check_grad(lambda x: cross_entropy(x, t) * 3.0, rand(3, 4)) < OP_TOL
 
 
+@pytest.mark.parametrize(
+    "b, L, n, m", [(1, 8, 64, 512), (16, 8, 64, 512), (8, 24, 64, 64)], ids=["one-sample", "answer-head", "desk-linear"]
+)
+def test_weight_gradient_sums_the_samples_in_order_without_their_stack(b, L, n, m):
+    rng = np.random.default_rng(4)
+    x, g = rng.normal(size=(b, L, n)), rng.normal(size=(b, L, m))
+    w = Tensor(np.zeros((n, m)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        tensor_mod._matmul_grads(Tensor(x), w, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(w.grad, np.matmul(np.swapaxes(x, -1, -2), g).sum(axis=0))
+    # the gradient and one sample's product, never the [b, n, m] stack
+    assert peak < 2.5 * w.grad.nbytes
+
+
 class TestBackward:
     def test_square(self):
         x = Tensor(3.0, requires_grad=True)
@@ -259,6 +284,43 @@ class TestBackward:
         (y * Tensor(C43)).sum().backward()
         assert np.array_equal(x.grad, C43.reshape(3, 4))
         assert x.grad.base is None and not np.shares_memory(x.grad, y.grad)
+
+    def test_a_node_is_freed_once_its_gradient_has_moved_on(self):
+        x = Tensor(rand(3, 4), requires_grad=True)
+        near_inputs = x * 2.0
+        near_loss = near_inputs.exp() * 3.0
+        loss = near_loss.sum()
+        freed, run = [], near_inputs._backward
+
+        def probe(g, ref=weakref.ref(near_loss)):
+            freed.append(ref() is None)
+            run(g)
+
+        near_inputs._backward = probe
+        del near_inputs, near_loss
+        loss.backward()
+        assert freed == [True]
+        np.testing.assert_allclose(x.grad, 6.0 * np.exp(2.0 * x.data), rtol=1e-15)
+        assert loss._parents == () and loss.grad == 1.0
+
+    def test_a_consumed_root_cannot_run_backward_again(self):
+        x = Tensor(rand(3), requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        first = x.grad
+        with pytest.raises(ContractError, match="consumed"):
+            loss.backward()
+        assert x.grad is first
+
+    def test_a_graph_built_on_a_consumed_node_cannot_run_backward(self):
+        x = Tensor(rand(3), requires_grad=True)
+        h = x * 2.0
+        h.sum().backward()
+        first = x.grad
+        with pytest.raises(ContractError, match="consumed"):
+            (h * x).sum().backward()
+        # refused before any gradient was formed
+        assert x.grad is first and np.array_equal(h.grad, np.ones(3))
 
 
 C34 = rand(3, 4)

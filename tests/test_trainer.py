@@ -4,6 +4,7 @@ import math
 import mmap
 import os
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -815,7 +816,8 @@ def test_each_step_frees_the_previous_steps_tape(caption_data, vqa_data, tmp_pat
         return wrapper, seen
 
     pre, pre_seen = watched(trainer.pretrain_losses, lambda out: out[0]["mlm"])
-    ft, ft_seen = watched(trainer.vqa_forward_loss, lambda loss: loss)
+    # the loop may hold the scalar root until the next step; not the tape behind it
+    ft, ft_seen = watched(trainer.vqa_forward_loss, lambda loss: loss._parents[0])
     monkeypatch.setattr(trainer, "pretrain_losses", pre)
     monkeypatch.setattr(trainer, "vqa_forward_loss", ft)
     croot, csamples = caption_data
@@ -823,6 +825,45 @@ def test_each_step_frees_the_previous_steps_tape(caption_data, vqa_data, tmp_pat
     pretrain(tiny_cfg(seed=2, epochs=1), csamples, croot, tmp_path / "pre")
     finetune(tiny_cfg(seed=2, epochs=1, phase="finetune"), vsamples, vroot, tmp_path / "ft")
     assert len(pre_seen) == 2 and len(ft_seen) == 2
+
+
+def test_backward_frees_the_tape_while_it_walks_it(tmp_path):
+    # one desk finetune step at the bench's batch size: backward's traced
+    # peak must stay near its entry, not hold the forward's tape to the end
+    cfg = preset("desk", seed=3, phase="finetune", batch_size=16)
+    samples = generate_vqa(cfg.batch_size, 3, tmp_path)
+    mp = ModelParams(cfg.model_config(), np.random.default_rng(3))
+    vocab = build_vocab([s.question for s in samples] + [s.answer for s in samples], cfg.vocab_size)
+    images = [load_image(tmp_path / s.image, channels=cfg.channels) for s in samples]
+    question_ids = np.stack([tokenize(s.question, vocab, cfg.max_text_len) for s in samples])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = trainer.vqa_forward_loss(mp, cfg, images, question_ids, [s.answer for s in samples], vocab)
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tape = entry - before
+    assert tape > 10 * 2**20  # so that a tenth of it is a bound worth keeping
+    assert peak - entry < 0.1 * tape, f"backward peaked {(peak - entry) / 2**20:.1f} MiB above its entry"
+
+
+def test_training_loads_each_image_file_once(vqa_data, tmp_path, monkeypatch):
+    root, samples = vqa_data
+    loads = []
+
+    def counting(path, channels=None):
+        loads.append(path)
+        return load_image(path, channels=channels)
+
+    monkeypatch.setattr(trainer, "load_image", counting)
+    finetune(tiny_cfg(seed=2, epochs=1, phase="finetune"), samples, root, tmp_path / "ft")
+    files = [s.image for s in samples]
+    assert len(set(files)) < len(files)  # some samples share a file
+    assert loads == [os.path.join(root, f) for f in dict.fromkeys(files)]
 
 
 def test_metrics_log_fields(caption_data, tmp_path):

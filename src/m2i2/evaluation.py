@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import string
 from dataclasses import dataclass, field
 
@@ -17,14 +16,13 @@ from .errors import ConfigError, ContractError
 from .model import ModelParams, decode_answer, encode_full_images, encode_text, fuse, text_width
 from .synth import VqaSample
 from .tensor import Tensor, concat, cross_entropy, no_grad
-from .text import BOS, EOS, Vocab, detokenize, tokenize
+from .text import BOS, EOS, Vocab, detokenize, normalize, tokenize
 from .vision import Image, load_image, write_image
 
 
 def normalize_answer(text: str) -> str:
-    """Lowercase, trim, collapse whitespace, strip terminal punctuation."""
-    out = re.sub(r"\s+", " ", text.lower()).strip()
-    return out.rstrip(string.punctuation + " ")
+    """The text normalized as the tokenizer reads it, less terminal punctuation."""
+    return normalize(text).rstrip(string.punctuation + " ")
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Finite-difference verification of every differentiable op and each loss.
 
-Central differences (eps=1e-5, float64) against the tape gradients, on random
-probe inputs in [-2, 2]. Op-level tolerance 1e-4; end-to-end (through the
-full sub-network depth) 1e-3.
+Central differences (eps=1e-5, float64) against the tape gradients. Op checks
+run on random probe inputs in [-2, 2], at tolerance 1e-4. Loss checks run the
+training forwards themselves (trainer.pretrain_losses and
+trainer.vqa_forward_loss) on a two-sample batch, and probe a few entries of
+parameters from the heads down to the embeddings, at tolerance 1e-3.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import TrainConfig
-from .model import ModelParams, decode_answer, decode_image, encode_image, encode_text, fuse, itm_logits, mlm_logits, project_itc
+from .config import preset
+from .model import ModelParams
 from .momentum import FeatureQueue, enqueue
-from .objectives import cond_lm_loss, itc_loss, itm_loss, mim_loss, mlm_loss
 from .tensor import Tensor, concat, cross_entropy, layer_norm, linear, mlp, scaled_dot_product_attention, softmax
+from .text import build_vocab, tokenize
+from .trainer import make_pretrain_batch, pretrain_losses, vqa_forward_loss
+from .vision import Image
 
 OP_TOL = 1e-4
 E2E_TOL = 1e-3
@@ -129,80 +133,42 @@ def probe_param_errs(mp: ModelParams, loss_fn, names: list[str], rng: np.random.
 
 
 def loss_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
-    cfg = TrainConfig.from_dict(
-        {
-            "dim": 16,
-            "heads": 2,
-            "depth_img_enc": 1,
-            "depth_txt_enc": 1,
-            "depth_fusion": 1,
-            "depth_img_dec": 1,
-            "depth_ans_dec": 1,
-            "vocab_size": 32,
-            "max_text_len": 8,
-            "max_answer_len": 4,
-            "image_size": 8,
-            "patch_size": 4,
-            "proj_dim": 8,
-            "queue_capacity": 8,
-            "batch_size": 2,
-        }
-    )
+    cfg = preset("test", vocab_size=32, max_text_len=8, max_answer_len=4, image_size=8, patch_size=4, queue_capacity=8, batch_size=2)
     # the pretraining objectives run on a pretrain model, answer generation on
     # a finetune one; both share their encoders and fusion bitwise
     pre = ModelParams(cfg.model_config(), np.random.default_rng(0))
     ft = ModelParams(replace(cfg.model_config(), phase="finetune"), np.random.default_rng(0))
-    b = 2
-    vis_pos = np.tile(np.array([0, 2]), (b, 1))
-    msk_pos = np.tile(np.array([1, 3]), (b, 1))
-    patches = rng.random((b, 2, cfg.patch_size**2))
-    targets = rng.random((b, 2, cfg.patch_size**2))
-    ids = rng.integers(7, 32, size=(b, 8))
-    ids[:, 0] = 1
-    mlm_b = np.array([0, 1, 1])
-    mlm_p = np.array([2, 1, 4])
-    mlm_lab = np.array([9, 12, 30])
-    itm_lab = np.array([1, 0])
-    ans_prefix = np.array([[5, 8, 9], [5, 10, 11]])
-    ans_tgt = np.array([8, 9, 6, 10])
-    queue = FeatureQueue(8, cfg.proj_dim)
+    # each image feeds a true ITM row (label 1) and a mismatched one (label 0); at
+    # init every row reads p ~ 1/2, so their image-path gradients nearly cancel, to
+    # ~1e-7 on img_enc.0.ln1.g, where central differences err by up to 8e-4. A head
+    # at 30x the init scale with a bias toward "match" keeps the rows apart
+    pre.params["itm.w"].data = 30 * pre.params["itm.w"].data
+    pre.params["itm.b"].data = np.array([0.0, 1.0])
+    # texts shorter than max_text_len, so vqa_forward_loss cuts the question ids and
+    # teacher forcing pads the memory back; answers of 1 and 2 tokens
+    texts, answers = ["a dot", "one bar"], ["yes", "a bar"]
+    vocab = build_vocab(texts + answers, cfg.vocab_size)
+    images = [Image(rng.random((cfg.image_size, cfg.image_size, cfg.channels))) for _ in texts]
+    ids = np.stack([tokenize(t, vocab, cfg.max_text_len) for t in texts])
+    batch = make_pretrain_batch(images, list(ids), cfg, vocab, rng)
+    queue = FeatureQueue(cfg.queue_capacity, cfg.proj_dim)
     negs = rng.normal(size=(4, cfg.proj_dim))
     negs /= np.linalg.norm(negs, axis=-1, keepdims=True)
     enqueue(queue, negs, negs)
 
-    def img_feats(mp):
-        return encode_image(mp, patches, vis_pos)
-
-    def fused(mp):
-        return fuse(mp, encode_text(mp, ids), img_feats(mp), ids)
-
-    def loss_mim():
-        return mim_loss(decode_image(pre, img_feats(pre), vis_pos, msk_pos), targets)
-
-    def loss_mlm():
-        return mlm_loss(mlm_logits(pre, fused(pre), mlm_b, mlm_p), mlm_lab)
-
-    def loss_itm():
-        return itm_loss(itm_logits(pre, fused(pre)[:, 0, :]), itm_lab)
-
-    def loss_itc():
-        ip = project_itc(pre, img_feats(pre)[:, 0, :], "img")
-        tp = project_itc(pre, encode_text(pre, ids)[:, 0, :], "txt")
-        ipm = project_itc(pre, encode_image(pre, patches, vis_pos, use_momentum=True)[:, 0, :], "img", use_momentum=True)
-        tpm = project_itc(pre, encode_text(pre, ids, use_momentum=True)[:, 0, :], "txt", use_momentum=True)
-        return itc_loss(ip, tp, ipm, tpm, queue, pre.params["itc.log_temp"].exp())
-
-    def loss_lm():
-        logits = decode_answer(ft, fused(ft), ids, ans_prefix)
-        flat = logits[np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])]
-        return cond_lm_loss(flat, ans_tgt)
+    def pretrain_loss(name):
+        # one seed, so every evaluation pairs the same mismatched captions for ITM
+        return lambda: pretrain_losses(pre, cfg, batch, queue, np.random.default_rng(0))[0][name]
 
     suites = [
-        ("loss/mim", pre, loss_mim, ["img_dec.0.attn.wq", "mim.w", "img_mask_tok", "patch_embed.w"]),
-        ("loss/mlm", pre, loss_mlm, ["mlm.w", "fusion.0.xattn.wv", "txt_enc.0.mlp.w1", "tok_embed"]),
-        ("loss/itm", pre, loss_itm, ["itm.w", "fusion.0.attn.wo", "img_enc.0.ln1.g"]),
-        ("loss/itc", pre, loss_itc, ["itc_img.w", "itc_txt.w", "itc.log_temp", "txt_enc.0.attn.wq"]),
-        ("loss/cond_lm", ft, loss_lm, ["ans_head.w", "ans_dec.0.xattn.wk", "ans_pos", "fusion.0.mlp.w2"]),
+        ("loss/mim", pre, pretrain_loss("mim"), ["img_dec.0.attn.wq", "mim.w", "img_mask_tok", "patch_embed.w"]),
+        ("loss/mlm", pre, pretrain_loss("mlm"), ["mlm.w", "fusion.0.xattn.wv", "txt_enc.0.mlp.w1", "tok_embed"]),
+        ("loss/itm", pre, pretrain_loss("itm"), ["itm.w", "fusion.0.attn.wo", "img_enc.0.ln1.g"]),
+        ("loss/itc", pre, pretrain_loss("itc"), ["itc_img.w", "itc_txt.w", "itc.log_temp", "txt_enc.0.attn.wq"]),
+        (
+            "loss/cond_lm", ft, lambda: vqa_forward_loss(ft, cfg, images, ids, answers, vocab),
+            ["ans_head.w", "ans_dec.0.xattn.wk", "ans_pos", "fusion.0.mlp.w2"],
+        ),
     ]
     return [
         (name, probe_param_errs(mp, fn, names, rng), E2E_TOL) for name, mp, fn, names in suites

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from m2i2 import model
+from m2i2 import gradcheck, model
 from m2i2.errors import ConfigError, ContractError, ShapeError
 from m2i2.gradcheck import E2E_TOL, OP_TOL, fd_grad, probe_param_errs, rel_err
 from m2i2.model import (
@@ -21,9 +21,10 @@ from m2i2.model import (
     mlm_logits,
     pad_bias,
     project_itc,
+    text_width,
 )
 from m2i2.tensor import Tensor, cross_entropy, linear, mlp, no_grad, scaled_dot_product_attention, softmax
-from m2i2.text import BOS, CLS, PAD
+from m2i2.text import BOS, CLS, PAD, encode_plain
 
 
 def tiny_cfg(**kw):
@@ -379,6 +380,42 @@ class TestEndToEndGradients:
             return cross_entropy(itm_logits(mp, fused[:, 0, :]), labels)
 
         assert probe_param_errs(mp, loss, probes, np.random.default_rng(5), n_probe=8) < E2E_TOL
+
+
+def test_loss_checks_probe_the_training_forwards(monkeypatch):
+    """Each loss suite's loss is the tensor a training forward returns: the
+    pretraining objectives from pretrain_losses, the answer loss from
+    vqa_forward_loss on cut question ids and answers of two lengths."""
+    calls, routes = [], []
+
+    def spy(name):
+        real = getattr(gradcheck, name)
+
+        def wrapped(*args):
+            calls.append((name, args, real(*args)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(gradcheck, name, wrapped)
+
+    spy("pretrain_losses")
+    spy("vqa_forward_loss")
+
+    def probe_param_errs(mp, loss_fn, names, rng):
+        calls.clear()
+        routes.append((loss_fn(), list(calls)))
+        return 0.0
+
+    monkeypatch.setattr(gradcheck, "probe_param_errs", probe_param_errs)
+    suites = [name for name, _, _ in gradcheck.loss_checks(np.random.default_rng(0))]
+    assert suites == ["loss/mim", "loss/mlm", "loss/itm", "loss/itc", "loss/cond_lm"]
+    for suite, (loss, [(fn, args, out)]) in zip(suites, routes):
+        if suite == "loss/cond_lm":
+            assert fn == "vqa_forward_loss" and loss is out
+            _, cfg, _, ids, answers, vocab = args
+            assert text_width(ids) < cfg.max_text_len
+            assert len({len(encode_plain(a, vocab)) for a in answers}) == len(answers) == 2
+        else:
+            assert fn == "pretrain_losses" and loss is out[0][suite.removeprefix("loss/")]
 
 
 # ---- fused ops against the primitive chains they stand for ----------------

@@ -144,7 +144,7 @@ def loss_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
     # at 30x the init scale with a bias toward "match" keeps the rows apart
     pre.params["itm.w"].data = 30 * pre.params["itm.w"].data
     pre.params["itm.b"].data = np.array([0.0, 1.0])
-    # texts shorter than max_text_len, so vqa_forward_loss cuts the question ids and
+    # texts shorter than max_text_len, so both training forwards cut the ids and
     # teacher forcing pads the memory back; answers of 1 and 2 tokens
     texts, answers = ["a dot", "one bar"], ["yes", "a bar"]
     vocab = build_vocab(texts + answers, cfg.vocab_size)

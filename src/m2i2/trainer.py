@@ -401,8 +401,12 @@ def pretrain_losses(
     ITC ran, the momentum projections to enqueue after the optimizer step.
     """
     b = batch.visible.shape[0]
+    # masking keeps the PAD layout, so every objective reads only columns
+    # up to the longest caption; ids cut there give bitwise the full-width
+    # rows (see encode_text) and weight gradients that sum over fewer rows
+    ids = batch.ids[:, : text_width(batch.ids)]
     img_feats = encode_image(mp, batch.visible, batch.positions)
-    txt_feats = encode_text(mp, batch.ids)
+    txt_feats = encode_text(mp, ids)
     parts: dict[str, Tensor] = {}
     mom_projs = None
 
@@ -415,7 +419,7 @@ def pretrain_losses(
         txt_proj = project_itc(mp, txt_feats[:, 0, :], "txt")
 
     if cfg.enable_mlm or cfg.enable_itm:
-        txt_in, img_in, ids_in = txt_feats, img_feats, batch.ids
+        txt_in, img_in, ids_in = txt_feats, img_feats, ids
         if cfg.enable_itm:
             sims = None
             if cfg.negative_strategy == "hard":  # the config requires ITC for it
@@ -424,7 +428,7 @@ def pretrain_losses(
             # rows [:b] pair each image with its own caption and rows [b:]
             # with a mismatched one, so both go through one fusion pass
             rows = np.concatenate([np.arange(b), j])
-            txt_in, ids_in = txt_feats[rows], batch.ids[rows]
+            txt_in, ids_in = txt_feats[rows], ids[rows]
             img_in = concat([img_feats, img_feats], axis=0)
         fused = fuse(mp, txt_in, img_in, ids_in)
         if cfg.enable_mlm:
@@ -437,9 +441,8 @@ def pretrain_losses(
 
     if cfg.enable_itc:
         img_feats_m = encode_image(mp, batch.visible, batch.positions, use_momentum=True)
-        # only the CLS row is read, which ids cut after the longest caption
-        # give bitwise (see encode_text)
-        txt_feats_m = encode_text(mp, batch.ids[:, : text_width(batch.ids)], use_momentum=True)
+        # the momentum text encoder reads the same cut ids; ITC reads its CLS row
+        txt_feats_m = encode_text(mp, ids, use_momentum=True)
         img_proj_m = project_itc(mp, img_feats_m[:, 0, :], "img", use_momentum=True)
         txt_proj_m = project_itc(mp, txt_feats_m[:, 0, :], "txt", use_momentum=True)
         parts["itc"] = itc_loss(

@@ -15,7 +15,7 @@ from m2i2.config import preset
 from m2i2.errors import CheckpointError, ConfigError, NumericsError
 from m2i2.model import ModelParams
 from m2i2.momentum import FeatureQueue, enqueue, momentum_update
-from m2i2.objectives import cond_lm_loss, itm_loss, mlm_loss, pair_negatives
+from m2i2.objectives import combined_loss, cond_lm_loss, itm_loss, mlm_loss, pair_negatives
 from m2i2.synth import generate_captions, generate_vqa
 from m2i2.tensor import concat
 from m2i2.text import PAD, RESERVED, Vocab, build_vocab, tokenize
@@ -1043,8 +1043,70 @@ def test_momentum_text_encoder_runs_at_the_batch_width(caption_data, monkeypatch
     monkeypatch.setattr(trainer, "encode_text", recording)
     queue = FeatureQueue(cfg.queue_capacity, cfg.proj_dim)
     _, (img_proj_m, txt_proj_m) = trainer.pretrain_losses(mp, cfg, batch, queue, np.random.default_rng(2))
-    # the online encoder stays full width; the momentum one reads only CLS
-    assert calls == [(cfg.max_text_len, False), (width, True)]
+    # the online and the momentum encoder both read ids cut after the
+    # longest caption; ITC reads only the momentum encoder's CLS row
+    assert calls == [(width, False), (width, True)]
     full = model.encode_text(mp, batch.ids, use_momentum=True)
     expected = model.project_itc(mp, full[:, 0, :], "txt", use_momentum=True).data
     assert txt_proj_m.tobytes() == expected.tobytes()
+
+
+def test_pretrain_losses_run_text_and_fusion_at_the_batch_width(caption_data, monkeypatch):
+    root, samples = caption_data
+    cfg = tiny_cfg(seed=7)
+    mp = tiny_params(cfg, seed=7)
+    vocab = build_vocab([s.caption for s in samples], cfg.vocab_size)
+    images = [load_image(os.path.join(root, s.image), channels=cfg.channels) for s in samples]
+    token_ids = [tokenize(s.caption, vocab, cfg.max_text_len) for s in samples]
+    batch = trainer.make_pretrain_batch(images, token_ids, cfg, vocab, np.random.default_rng(1))
+    lengths = (batch.ids != PAD).sum(axis=1)
+    width = lengths.max()
+    assert width < cfg.max_text_len and lengths.min() < width
+    queued = np.random.default_rng(3).normal(size=(2, 3, cfg.proj_dim))
+    queued /= np.linalg.norm(queued, axis=-1, keepdims=True)
+
+    def losses():
+        mp.zero_grads()
+        queue = FeatureQueue(cfg.queue_capacity, cfg.proj_dim)
+        enqueue(queue, *queued)
+        parts, mom_projs = trainer.pretrain_losses(mp, cfg, batch, queue, np.random.default_rng(2))
+        combined_loss(parts).backward()
+        return parts, mom_projs, {n: p.grad for n, p in mp.params.items()}
+
+    # the reference runs every encoder on all max_text_len columns
+    monkeypatch.setattr(trainer, "text_width", lambda ids: ids.shape[1])
+    ref_parts, ref_projs, ref_grads = losses()
+    monkeypatch.setattr(trainer, "text_width", model.text_width)
+
+    widths = []
+
+    def recording(fn):
+        def wrapped(mp, *args, **kwargs):
+            widths.append((fn.__name__, args[-1].shape[1], kwargs.get("use_momentum", False)))
+            return fn(mp, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(trainer, "encode_text", recording(model.encode_text))
+    monkeypatch.setattr(trainer, "fuse", recording(model.fuse))
+    parts, projs, grads = losses()
+    assert widths == [("encode_text", width, False), ("fuse", width, False), ("encode_text", width, True)]
+    # forward values keep every bit: MLM reads caption positions, and ITM
+    # and ITC read CLS rows
+    assert parts.keys() == ref_parts.keys() == set(trainer.OBJECTIVES)
+    for name in parts:
+        assert parts[name].data.tobytes() == ref_parts[name].data.tobytes(), name
+    for proj, ref in zip(projs, ref_projs):
+        assert proj.tobytes() == ref.tobytes()
+    # a weight gradient sums over fewer rows, so it may move in the last bits
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert (g is None) == (ref_grads[name] is None), name
+        if g is None:
+            continue
+        if name.endswith(".kb"):
+            # a key bias shifts every score of a query row alike, which the
+            # softmax cancels: its gradient is float noise around an exact 0
+            np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-15, err_msg=name)
+        else:
+            np.testing.assert_allclose(g, ref_grads[name], rtol=1e-9, err_msg=name)

@@ -106,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-grad-weighting", action="store_true")
     p.add_argument("--limit", type=int, default=8)
 
-    p = sub.add_parser("gradcheck", help="run the finite-difference suite")
-    p.add_argument("--out", default=None)
+    sub.add_parser("gradcheck", help="run the finite-difference suite")
 
     return ap
 

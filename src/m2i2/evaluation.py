@@ -13,9 +13,9 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import ConfigError, ContractError
-from .model import ModelParams, decode_answer, encode_full_images, encode_text, fuse, text_width
+from .model import ModelParams, decode_answer, encode_full_images, encode_text, fuse
 from .synth import VqaSample
-from .tensor import Tensor, concat, cross_entropy, no_grad
+from .tensor import Tensor, cross_entropy, no_grad
 from .text import BOS, EOS, Vocab, detokenize, normalize, tokenize
 from .vision import Image, load_image, write_image
 
@@ -68,28 +68,20 @@ class _Encoded:
     q_rows: np.ndarray  # [items], each item's row of text and ids
 
 
-def _encode(mp: ModelParams, images: list[Image], questions: list[str], vocab: Vocab, per_call: int = 0) -> _Encoded:
-    """Encode stage: each distinct Image object goes through the image
-    encoder once, and each distinct question through the text encoder once,
-    per_call of them at most per encoder call (all at once when 0). Text
-    runs on the ids cut after the longest question (see text_width)."""
+def _encode(mp: ModelParams, images: list[Image], questions: list[str], vocab: Vocab) -> _Encoded:
+    """Encode stage: the distinct Image objects go through the image encoder
+    in one call, and the distinct questions through the text encoder in
+    another."""
     uniq_imgs, img_rows = _distinct(images, key=id)
     uniq_qs, q_rows = _distinct(questions)
     ids = np.stack([tokenize(q, vocab, mp.cfg.max_text_len) for q in uniq_qs])
-    step = per_call or max(len(uniq_imgs), len(uniq_qs))
-
-    def encoded(encode, items) -> Tensor:
-        return concat([encode(mp, items[lo : lo + step]) for lo in range(0, len(items), step)])
-
-    return _Encoded(
-        encoded(encode_full_images, uniq_imgs), encoded(encode_text, ids[:, : text_width(ids)]), ids, img_rows, q_rows
-    )
+    return _Encoded(encode_full_images(mp, uniq_imgs), encode_text(mp, ids), ids, img_rows, q_rows)
 
 
 def _fuse(mp: ModelParams, enc: _Encoded, items: slice, capture: list | None = None):
-    """Fuse stage: fused features [b, W, dim] and token ids [b, W] of an
-    encoded call's items, in their order, cut after the items' longest
-    question (see text_width; so a captured map is [b, heads, W, S]).
+    """Fuse stage: fused features [b, W, dim] of an encoded call's items, in
+    their order, cut after the items' longest question (see fuse; so a
+    captured map is [b, heads, W, S]), and their token ids [b, max_text_len].
 
     The items' rows are gathered from the encode stage, and fusion keeps
     max_text_len key slots in self-attention (see encode_text). Rows never
@@ -97,9 +89,7 @@ def _fuse(mp: ModelParams, enc: _Encoded, items: slice, capture: list | None = N
     """
     q_rows = enc.q_rows[items]
     ids = enc.ids[q_rows]
-    ids = ids[:, : text_width(ids)]
-    text, images = enc.text[q_rows, : ids.shape[1]], enc.images[enc.img_rows[items]]
-    return fuse(mp, text, images, ids, capture=capture), ids
+    return fuse(mp, enc.text[q_rows], enc.images[enc.img_rows[items]], ids, capture=capture), ids
 
 
 def _fuse_batch(
@@ -157,7 +147,7 @@ def generate_answers(
 
 
 def _greedy(mp: ModelParams, fused: Tensor, ids: np.ndarray, vocab: Vocab) -> list[list[int]]:
-    """Greedy answers of fused features and ids [b, W] (see _fuse), one
+    """Greedy answers of fused features and ids (see _fuse), one
     decoder step per token; run under no_grad.
 
     The steps share a decode cache: the fused memory's cross-attention keys
@@ -212,7 +202,7 @@ def evaluate(
     """Exact-match accuracy after normalization, split by answer type.
 
     The split's distinct images and questions are encoded once, with no
-    tape, at most cfg.batch_size of them per encoder call (see _encode).
+    tape, in one call per encoder (see _encode).
     Each cfg.batch_size chunk of questions is then fused, cut after its
     longest question (see _fuse), and decoded by the cached greedy loop
     (see _greedy). Predictions equal per-question generate_answer calls.
@@ -228,7 +218,7 @@ def evaluate(
         for name in {s.image for s in samples}
     }
     with no_grad():
-        enc = _encode(mp, [images[s.image] for s in samples], [s.question for s in samples], vocab, cfg.batch_size)
+        enc = _encode(mp, [images[s.image] for s in samples], [s.question for s in samples], vocab)
         answers = [
             a
             for lo in range(0, len(samples), cfg.batch_size)

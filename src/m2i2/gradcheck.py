@@ -144,8 +144,8 @@ def loss_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
     # at 30x the init scale with a bias toward "match" keeps the rows apart
     pre.params["itm.w"].data = 30 * pre.params["itm.w"].data
     pre.params["itm.b"].data = np.array([0.0, 1.0])
-    # texts shorter than max_text_len, so both training forwards cut the ids and
-    # teacher forcing pads the memory back; answers of 1 and 2 tokens
+    # texts shorter than max_text_len, so text and fusion run at the batch width
+    # and teacher forcing pads the memory back; answers of 1 and 2 tokens
     texts, answers = ["a dot", "one bar"], ["yes", "a bar"]
     vocab = build_vocab(texts + answers, cfg.vocab_size)
     images = [Image(rng.random((cfg.image_size, cfg.image_size, cfg.channels))) for _ in texts]
@@ -166,7 +166,7 @@ def loss_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
         ("loss/itm", pre, pretrain_loss("itm"), ["itm.w", "fusion.0.attn.wo", "img_enc.0.ln1.g"]),
         ("loss/itc", pre, pretrain_loss("itc"), ["itc_img.w", "itc_txt.w", "itc.log_temp", "txt_enc.0.attn.wq"]),
         (
-            "loss/cond_lm", ft, lambda: vqa_forward_loss(ft, cfg, images, ids, answers, vocab),
+            "loss/cond_lm", ft, lambda: vqa_forward_loss(ft, images, ids, answers, vocab),
             ["ans_head.w", "ans_dec.0.xattn.wk", "ans_pos", "fusion.0.mlp.w2"],
         ),
     ]

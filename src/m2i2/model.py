@@ -353,19 +353,21 @@ def text_width(ids: np.ndarray) -> int:
     """The columns of ids [n, L] up to the longest row's last non-PAD token."""
     # two columns at least: numpy multiplies a one-row matrix on another
     # BLAS path, whose bits differ from a row of a longer product
-    return max(2, 1 + np.flatnonzero((ids != PAD).any(axis=0))[-1])
+    return max(2, 1 + np.flatnonzero((ids != PAD).any(axis=0)).max(initial=0))
 
 
 def encode_text(mp: ModelParams, ids: np.ndarray, use_momentum: bool = False) -> Tensor:
-    """Text encoder; ids [b, L] with CLS first, PAD tail, L <= max_text_len.
-    Returns [b, L, dim]. Self-attention keeps max_text_len key slots, so ids
-    cut after a batch's longest question (see text_width) give bitwise the
-    full-width rows at every non-PAD position."""
+    """Text encoder; ids [b, L] with CLS first, PAD tail, L <= max_text_len,
+    as tokenize makes them. Runs on the columns up to the longest row (see
+    text_width) and returns [b, W, dim]. Self-attention keeps max_text_len
+    key slots, so every non-PAD row is bitwise the one the full-width ids
+    give, and the one a batch of one gives."""
     P = mp.source(use_momentum)
     cfg = mp.cfg
     ids = np.asarray(ids, dtype=np.int64)
     if ids.max(initial=0) >= cfg.vocab_size:
         raise IndexError(f"token id >= vocab size {cfg.vocab_size}")
+    ids = ids[:, : text_width(ids)]
     bias = pad_bias(ids, cfg.max_text_len)
     x = P["tok_embed"][ids] + P["txt_pos"][: ids.shape[1]]
     return transformer_stack(x, P, "txt_enc", cfg.depth_txt_enc, cfg.heads, self_bias=bias)
@@ -379,14 +381,20 @@ def fuse(
     capture: list | None = None,
 ) -> Tensor:
     """Multimodal encoder: text-stream self-attention + cross-attention to
-    image features. text_ids [b, Lq] may be cut after the batch's longest
-    question as in encode_text, with the same bitwise guarantee. Returns
-    fused text-stream features [b, Lq, dim]; row 0 (CLS) is the joint
-    representation. capture collects per-layer cross-attention tensors
-    [b, heads, Lq, S]."""
+    image features. Runs on the columns of text_ids [b, L] up to the longest
+    row, W of them, as encode_text does; text_features [b, >= W, dim] lose
+    the columns past W. Returns fused text-stream features [b, W, dim]; row
+    0 (CLS) is the joint representation. capture collects per-layer
+    cross-attention tensors [b, heads, W, S]."""
     cfg = mp.cfg
     if text_features.shape[-1] != image_features.shape[-1]:
         raise ContractError("text/image feature dims differ")
+    text_ids = text_ids[:, : text_width(text_ids)]
+    w = text_ids.shape[1]
+    if text_features.shape[1] < w:
+        raise ShapeError(f"text features {text_features.shape} narrower than the {w} columns of their ids")
+    if text_features.shape[1] > w:
+        text_features = text_features[:, :w]
     return transformer_stack(
         text_features,
         mp.params,
@@ -408,9 +416,9 @@ def decode_answer(
 ) -> Tensor:
     """Causal answer decoder.
 
-    fused_context [b, W, dim] are the fused features of text_ids [b, W],
-    W <= max_text_len, as cut after the batch's longest question (see
-    text_width). prefix_ids [b, Lp] must start with BOS. Cross-attention
+    fused_context [b, W, dim] are the fused features of text_ids [b, L],
+    W <= L <= max_text_len, as fuse returns them; every id past column W
+    must be PAD. prefix_ids [b, Lp] must start with BOS. Cross-attention
     memory is the fused CLS, then the fused rows, under a mask of
     1 + max_text_len key slots that masks PAD slots and the slots past the
     rows; those get zero keys and values (see attention), except in
@@ -441,8 +449,9 @@ def decode_answer(
         raise ContractError(f"answer prefix of length {Lp} adds nothing to the {seen} cached positions")
     if "memory" not in cache:
         b, w, d = fused_context.shape
-        if text_ids.shape != (b, w):
+        if len(text_ids) != b or text_ids.shape[1] < w or (text_ids[:, w:] != PAD).any():
             raise ShapeError(f"text ids {text_ids.shape} for fused features {fused_context.shape}")
+        text_ids = text_ids[:, :w]
         # the fused CLS slot first, never masked
         mem_ids = np.concatenate([np.full((b, 1), CLS), text_ids], axis=1)
         if teacher_forcing:

@@ -108,15 +108,17 @@ def build_vocab(corpus, max_size: int) -> Vocab:
 
 
 def _encode_word(word: str, vocab: Vocab) -> list[int]:
+    """Greedy longest-match piece ids of one word. A reserved token spelled
+    out in text is no piece, so text never yields a reserved id but UNK."""
     ids: list[int] = []
     i = 0
     while i < len(word):
         prefix = CONT if i > 0 else ""
         j = len(word)
         while j > i:
-            piece = prefix + word[i:j]
-            if piece in vocab.token_to_id:
-                ids.append(vocab.token_to_id[piece])
+            piece = vocab.token_to_id.get(prefix + word[i:j], PAD)
+            if piece >= len(RESERVED):
+                ids.append(piece)
                 break
             j -= 1
         else:

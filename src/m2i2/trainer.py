@@ -34,7 +34,6 @@ from .model import (
     itm_logits,
     mlm_logits,
     project_itc,
-    text_width,
 )
 from .momentum import FeatureQueue, enqueue, momentum_update
 from .objectives import (
@@ -198,11 +197,12 @@ def load_checkpoint(path) -> Checkpoint:
     end at a multiple of CKPT_ALIGN bytes, then the arrays' <f8 data back to
     back in table order. A malformed, truncated, padded or unaligned file
     raises CheckpointError before the file is mapped; so does a header that
-    lacks a field, lists a name twice, holds a step, epoch, adam_t or queue
-    counter that is not an int or a vocab that is not a list of str, or
-    holds a queue whose counters do not fit its slots: capacity rows, a
-    write_ptr below capacity, and filled at capacity or, before the queue
-    first wraps, at write_ptr.
+    lacks a field, lists a name that is not a str or a name twice, holds a
+    step, epoch, adam_t or queue counter that is not an int or a vocab that
+    is not a list of str, holds queue slots without a queue, or holds a
+    queue whose counters do not fit its slots: capacity rows, a write_ptr
+    below capacity, and filled at capacity or, before the queue first
+    wraps, at write_ptr.
 
     The arrays are read-only views of one read-only map of the file, so
     loading reads no array data. While they live, the file must be replaced
@@ -219,7 +219,11 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError(f"{path} is truncated in its header")
             meta = json.loads(f.read(hlen).decode("utf-8"))
             names, shapes = zip(*meta.pop("arrays"))
-            if not all(type(d) is int and d >= 0 for shape in shapes for d in shape) or len(set(names)) < len(names):
+            if (
+                not all(type(n) is str for n in names)
+                or not all(type(d) is int and d >= 0 for shape in shapes for d in shape)
+                or len(set(names)) < len(names)
+            ):
                 raise CheckpointError(f"{path} has a malformed array table")
             if not {"config", "step", "epoch", "adam_t", "queue", "vocab"} <= meta.keys():
                 raise CheckpointError(f"{path} lacks a header field; it holds {sorted(meta)}")
@@ -228,7 +232,10 @@ def load_checkpoint(path) -> Checkpoint:
             counters = [meta[key] for key in ("step", "epoch", "adam_t")]
             if not all(type(c) is int for c in counters) or type(vocab) is not list or not all(type(t) is str for t in vocab):
                 raise CheckpointError(f"{path} has a step, epoch or adam_t that is not an int, or a vocab that is not a list of str")
-            if queue is not None:
+            if queue is None:
+                if "queue/img" in table or "queue/txt" in table:
+                    raise CheckpointError(f"{path} holds queue slots but no queue counters")
+            else:
                 keys = ("capacity", "proj_dim", "write_ptr", "filled")
                 if type(queue) is not dict or queue.keys() != set(keys) or not all(type(queue[k]) is int for k in keys):
                     raise CheckpointError(f"{path} has a malformed queue {queue}")
@@ -401,12 +408,8 @@ def pretrain_losses(
     ITC ran, the momentum projections to enqueue after the optimizer step.
     """
     b = batch.visible.shape[0]
-    # masking keeps the PAD layout, so every objective reads only columns
-    # up to the longest caption; ids cut there give bitwise the full-width
-    # rows (see encode_text) and weight gradients that sum over fewer rows
-    ids = batch.ids[:, : text_width(batch.ids)]
     img_feats = encode_image(mp, batch.visible, batch.positions)
-    txt_feats = encode_text(mp, ids)
+    txt_feats = encode_text(mp, batch.ids)
     parts: dict[str, Tensor] = {}
     mom_projs = None
 
@@ -419,7 +422,7 @@ def pretrain_losses(
         txt_proj = project_itc(mp, txt_feats[:, 0, :], "txt")
 
     if cfg.enable_mlm or cfg.enable_itm:
-        txt_in, img_in, ids_in = txt_feats, img_feats, ids
+        txt_in, img_in, ids_in = txt_feats, img_feats, batch.ids
         if cfg.enable_itm:
             sims = None
             if cfg.negative_strategy == "hard":  # the config requires ITC for it
@@ -428,7 +431,7 @@ def pretrain_losses(
             # rows [:b] pair each image with its own caption and rows [b:]
             # with a mismatched one, so both go through one fusion pass
             rows = np.concatenate([np.arange(b), j])
-            txt_in, ids_in = txt_feats[rows], ids[rows]
+            txt_in, ids_in = txt_feats[rows], batch.ids[rows]
             img_in = concat([img_feats, img_feats], axis=0)
         fused = fuse(mp, txt_in, img_in, ids_in)
         if cfg.enable_mlm:
@@ -441,8 +444,7 @@ def pretrain_losses(
 
     if cfg.enable_itc:
         img_feats_m = encode_image(mp, batch.visible, batch.positions, use_momentum=True)
-        # the momentum text encoder reads the same cut ids; ITC reads its CLS row
-        txt_feats_m = encode_text(mp, ids, use_momentum=True)
+        txt_feats_m = encode_text(mp, batch.ids, use_momentum=True)
         img_proj_m = project_itc(mp, img_feats_m[:, 0, :], "img", use_momentum=True)
         txt_proj_m = project_itc(mp, txt_feats_m[:, 0, :], "txt", use_momentum=True)
         parts["itc"] = itc_loss(
@@ -582,45 +584,30 @@ def pretrain(
 # ---- finetuning ----------------------------------------------------------
 
 
-def answer_targets(answer: str, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Teacher-forcing pair: prefix [BOS, y...] and targets [y..., EOS], padded."""
+def answer_targets(answer: str, vocab: Vocab, max_len: int) -> np.ndarray:
+    """The teacher-forcing row [BOS, y..., EOS, PAD...] of max_len + 1 ids:
+    its first max_len are the decoder's prefix, its last max_len the targets."""
     y = encode_plain(answer, vocab)[: max_len - 1]
-    prefix = [BOS] + y + [PAD] * (max_len - 1 - len(y))
-    target = y + [EOS] + [PAD] * (max_len - 1 - len(y))
-    return np.array(prefix, dtype=np.int64), np.array(target, dtype=np.int64), len(y) + 1
+    return np.array([BOS] + y + [EOS] + [PAD] * (max_len - 1 - len(y)), dtype=np.int64)
 
 
 def vqa_forward_loss(
     mp: ModelParams,
-    cfg: TrainConfig,
     images: list[Image],
     question_ids: np.ndarray,
     answers: list[str],
     vocab: Vocab,
 ) -> Tensor:
-    """Teacher-forced conditional LM loss for a VQA batch (full images).
-
-    Text and fusion run on the question ids cut after the batch's longest
-    question (see text_width), and so does the decoder's memory, which
-    teacher forcing pads back (see decode_answer). The loss is bitwise
-    that of full-width ids; the gradients may differ in the last bits,
-    since a weight gradient then sums over fewer rows.
-    """
+    """Teacher-forced conditional LM loss for a VQA batch (full images),
+    scored at every answer token and EOS; lengths come from mp.cfg."""
     img_feats = encode_full_images(mp, images)
-    ids = question_ids[:, : text_width(question_ids)]
-    fused = fuse(mp, encode_text(mp, ids), img_feats, ids)
-    prefixes, targets, lens = [], [], []
-    for a in answers:
-        pre, tgt, n = answer_targets(a, vocab, cfg.max_answer_len)
-        prefixes.append(pre)
-        targets.append(tgt)
-        lens.append(n)
-    logits = decode_answer(mp, fused, ids, np.stack(prefixes))
-    b_idx = np.concatenate([np.full(n, i) for i, n in enumerate(lens)])
-    p_idx = np.concatenate([np.arange(n) for n in lens])
-    flat = logits[b_idx, p_idx]
-    flat_targets = np.concatenate([t[:n] for t, n in zip(targets, lens)])
-    return cond_lm_loss(flat, flat_targets)
+    fused = fuse(mp, encode_text(mp, question_ids), img_feats, question_ids)
+    rows = np.stack([answer_targets(a, vocab, mp.cfg.max_answer_len) for a in answers])
+    logits = decode_answer(mp, fused, question_ids, rows[:, :-1])
+    targets = rows[:, 1:]
+    # each answer's tokens and its EOS, row by row: encode_plain yields no PAD
+    scored = np.nonzero(targets != PAD)
+    return cond_lm_loss(logits[scored], targets[scored])
 
 
 def finetune(
@@ -648,7 +635,7 @@ def finetune(
 
     def forward(mp, queue, vocab, batch_samples, images, question_ids, step):
         answers = [s.answer for s in batch_samples]
-        loss = vqa_forward_loss(mp, cfg, images, np.stack(question_ids), answers, vocab)
+        loss = vqa_forward_loss(mp, images, np.stack(question_ids), answers, vocab)
         return loss, {"loss": float(loss.data)}, lambda: None
 
     return _train(

@@ -104,6 +104,12 @@ def test_gradcheck_command_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_gradcheck_takes_no_output_directory(capsys):
+    # it writes nothing, so an --out would change nothing
+    with pytest.raises(SystemExit):
+        parse("gradcheck", "--out", "somewhere")
+
+
 def test_synth_command(tmp_path):
     out = tmp_path / "caps"
     assert run_cli("synth", "--kind", "captions", "--n", "5", "--out", str(out)) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from m2i2 import evaluation
+from m2i2 import evaluation, model
 from m2i2.config import preset
 from m2i2.evaluation import (
     EvalReport,
@@ -165,7 +165,7 @@ def test_evaluate_encodes_each_distinct_image_and_question_once_per_split(setup,
     single = [generate_answer(mp, cfg, img, q, vocab) for img, q in zip(imgs, questions)]
     assert 0 in {len(a) for a in single} and len({len(a) for a in single}) >= 2
 
-    image_calls, text_calls, fuse_widths = [], [], []
+    image_calls, text_calls, text_widths, fuse_widths = [], [], [], []
     encode_full_images, encode_text = evaluation.encode_full_images, evaluation.encode_text
 
     def counting_images(mp, images):
@@ -174,11 +174,14 @@ def test_evaluate_encodes_each_distinct_image_and_question_once_per_split(setup,
 
     def counting_text(mp, ids):
         text_calls.append(list(map(tuple, ids)))
-        return encode_text(mp, ids)
+        out = encode_text(mp, ids)
+        text_widths.append(out.shape[1])
+        return out
 
     def recording_fuse(mp, text, images, ids, capture=None):
-        fuse_widths.append(ids.shape[1])
-        return fuse(mp, text, images, ids, capture=capture)
+        out = fuse(mp, text, images, ids, capture=capture)
+        fuse_widths.append(out.shape[1])
+        return out
 
     monkeypatch.setattr(evaluation, "encode_full_images", counting_images)
     monkeypatch.setattr(evaluation, "encode_text", counting_text)
@@ -188,10 +191,11 @@ def test_evaluate_encodes_each_distinct_image_and_question_once_per_split(setup,
     seen_ids = [t for call in text_calls for t in call]
     assert len(seen_imgs) == len(set(seen_imgs)) == len({s.image for s in samples})
     assert len(seen_ids) == len(set(seen_ids)) == len(set(questions)) > cfg.batch_size
-    # an encoder call takes cfg.batch_size distinct inputs at most
-    assert max(map(len, image_calls + text_calls)) <= cfg.batch_size < len(text_calls) * cfg.batch_size
-    # one fusion pass per chunk, cut after the chunk's longest question
+    # one call per encoder, the ids as tokenize makes them; text runs up to the split's longest question
+    assert len(image_calls) == len(text_calls) == 1 and {len(t) for t in seen_ids} == {cfg.max_text_len}
     lengths = [_question_len(q, cfg, vocab) for q in questions]
+    assert text_widths == [max(lengths)] and max(lengths) < cfg.max_text_len
+    # one fusion pass per chunk, cut after the chunk's longest question
     chunk_widths = [max(lengths[lo : lo + 4]) for lo in range(0, len(samples), 4)]
     assert fuse_widths == chunk_widths and len(set(chunk_widths)) >= 2
     assert [p["prediction"] for p in report.predictions] == [detokenize(a, vocab) for a in single]
@@ -238,11 +242,9 @@ def test_decode_cache_projects_cross_attention_only_up_to_the_batch_width(setup)
     mp = _eos_biased_model(cfg, imgs, questions, vocab)
     fused, ids = evaluation._fuse_batch(mp, imgs, questions, vocab)
     width = max(_question_len(q, cfg, vocab) for q in questions)
-    assert width < cfg.max_text_len and fused.shape[1] == ids.shape[1] == width
+    assert width < cfg.max_text_len and fused.shape[1] == width and ids.shape[1] == cfg.max_text_len
     # the control: the same rows padded to max_text_len, every slot projected
-    tail = cfg.max_text_len - width
-    padded = Tensor(np.pad(fused.data, ((0, 0), (0, tail), (0, 0))))
-    full_ids = np.pad(ids, ((0, 0), (0, tail)), constant_values=PAD)
+    padded = Tensor(np.pad(fused.data, ((0, 0), (0, cfg.max_text_len - width), (0, 0))))
     prefix = np.concatenate(
         [np.full((len(ids), 1), BOS), np.random.default_rng(3).integers(0, len(vocab), (len(ids), cfg.max_answer_len - 1))],
         axis=1,
@@ -253,7 +255,7 @@ def test_decode_cache_projects_cross_attention_only_up_to_the_batch_width(setup)
         with no_grad():
             return cache, [decode_answer(mp, fused, ids, prefix[:, : t + 1], cache=cache).data for t in range(prefix.shape[1])]
 
-    _, full = cached_logits(padded, full_ids)
+    _, full = cached_logits(padded, ids)
     cache, cut = cached_logits(fused, ids)
     # keys and values are projected from the CLS slot and the rows up to the
     # width; the cache keeps them at 1 + max_text_len slots, zero past the width
@@ -264,7 +266,7 @@ def test_decode_cache_projects_cross_attention_only_up_to_the_batch_width(setup)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(cut, full))
     with no_grad():
         forced = decode_answer(mp, fused, ids, prefix).data
-        assert forced.tobytes() == decode_answer(mp, padded, full_ids, prefix).data.tobytes()
+        assert forced.tobytes() == decode_answer(mp, padded, ids, prefix).data.tobytes()
     answers = generate_answers(mp, imgs, questions, vocab)
     assert answers == [generate_answer(mp, cfg, img, q, vocab) for img, q in zip(imgs, questions)]
 
@@ -314,25 +316,26 @@ def test_fuse_batch_encodes_each_distinct_input_once(setup, monkeypatch):
     lengths = [_question_len(q, cfg, vocab) for q in batch_qs]
     assert len(set(lengths)) >= 2 and max(lengths) < cfg.max_text_len
     assert len(capture) == cfg.depth_fusion
-    # text and fusion run on the ids cut after the longest question
+    # text and fusion run on the columns up to the longest question; the ids are as tokenized
     assert all(c.shape == (5, cfg.heads, max(lengths), 1 + n) for c in capture)
-    assert fused.shape == (5, max(lengths), cfg.dim) and ids.shape == (5, max(lengths))
+    assert fused.shape == (5, max(lengths), cfg.dim) and ids.shape == (5, cfg.max_text_len)
     # the non-PAD rows; a batch of one is cut after its own question
     for i, (f, row_ids, caps) in enumerate(singles):
         w = lengths[i]
-        assert np.array_equal(fused.data[i, :w], f[:w]) and np.array_equal(ids[i, :w], row_ids[:w])
+        assert np.array_equal(fused.data[i, :w], f[:w]) and np.array_equal(ids[i], row_ids)
         assert (ids[i, w:] == PAD).all()
         assert all(np.array_equal(c.data[i, :, :w], one[:, :w]) for c, one in zip(capture, caps))
 
 
-def test_fuse_batch_matches_full_width_ids_for_a_question_of_cls_alone(setup):
+def test_fuse_batch_matches_full_width_ids_for_a_question_of_cls_alone(setup, monkeypatch):
     root, samples, cfg, mp, vocab = setup
     img = load_image(root / samples[0].image, channels=1)
     fused, ids = evaluation._fuse_batch(mp, [img], [""], vocab)
-    assert (ids[0] != PAD).sum() == 1 and ids.shape == (1, 2)
-    ids = tokenize("", vocab, cfg.max_text_len)[None]
+    assert (ids[0] != PAD).sum() == 1 and fused.shape[1] == 2
+    # the reference runs text and fusion on all max_text_len columns
+    monkeypatch.setattr(model, "text_width", lambda ids: ids.shape[1])
     full = fuse(mp, encode_text(mp, ids), encode_full_images(mp, [img]), ids)
-    assert np.array_equal(fused.data[0, 0], full.data[0, 0])
+    assert full.shape[1] == cfg.max_text_len and np.array_equal(fused.data[0, 0], full.data[0, 0])
 
 
 def test_evaluate_records_no_tape(setup, monkeypatch):

@@ -95,3 +95,25 @@ def test_checker_finds_package_imports():
 
 def test_config_imports_only_errors():
     assert package_imports((PACKAGE / "config.py").read_text(encoding="utf-8")) == {"errors"}
+
+
+def reads_name(source: str, name: str) -> bool:
+    """Whether source imports name, or reads it as a name or an attribute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and any(alias.name == name for alias in node.names):
+            return True
+        if (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name):
+            return True
+    return False
+
+
+def test_checker_finds_a_read_name():
+    assert reads_name("from .model import text_width\n", "text_width")
+    assert reads_name("import m2i2.model as m\nw = m.text_width(ids)\n", "text_width")
+    assert not reads_name("def f(text_widths):\n    return 'text_width'\n", "text_width")
+
+
+def test_only_the_model_decides_the_text_width():
+    # the forwards cut their own ids, so callers pass them as tokenize makes them
+    readers = {p.name for p in PACKAGE.glob("*.py") if reads_name(p.read_text(encoding="utf-8"), "text_width")}
+    assert readers == {"model.py"}

@@ -184,6 +184,9 @@ class TestEncodeText:
         c = encode_text(mp, short).data[0, :5]
         assert np.abs(a - c).max() < 1e-9
 
+    def test_rows_of_pad_alone_run_at_two_columns(self, mp):
+        assert encode_text(mp, np.full((2, 8), PAD)).shape == (2, 2, 16)
+
     def test_id_out_of_vocab(self, mp):
         ids = rand_ids(1, 4)
         ids[0, 2] = 32
@@ -231,7 +234,7 @@ class TestFuse:
 
 
 @pytest.mark.parametrize("case", ["mixed lengths", "one without PAD"])
-def test_ids_cut_after_the_longest_question_give_the_full_width_rows_bitwise(case):
+def test_ids_cut_after_the_longest_question_give_the_full_width_rows_bitwise(case, monkeypatch):
     # self-attention keeps max_text_len key slots, zero past the cut and masked
     mp = ModelParams(tiny_cfg(depth_txt_enc=2, depth_fusion=2), np.random.default_rng(1))
     ids = rand_ids(3, 8)
@@ -249,11 +252,44 @@ def test_ids_cut_after_the_longest_question_give_the_full_width_rows_bitwise(cas
         fused = fuse(mp, txt, img, ids, capture=capture)
         return [txt.data, fused.data] + [np.swapaxes(c.data, 1, 2) for c in capture]  # query rows on axis 1
 
-    full, cut = run(ids), run(ids[:, :width])
-    assert len(full) == 4 and all(c.shape[1] == width for c in cut)
+    cut = run(ids)
+    with monkeypatch.context() as full_width:
+        full_width.setattr(model, "text_width", lambda ids: ids.shape[1])
+        full = run(ids)
+    assert len(full) == 4 and all(a.shape[1] == 8 and c.shape[1] == width for a, c in zip(full, cut))
     for a, c in zip(full, cut):
         for i, n in enumerate(lengths):
             assert np.array_equal(a[i, :n], c[i, :n])
+
+
+@pytest.mark.parametrize("given", ["max_text_len", "in between", "batch width"])
+def test_the_forwards_run_at_the_batch_width_of_the_ids_they_are_given(ft_mp, given):
+    ids = rand_ids(3, 8)
+    ids[0, 3:] = ids[1, 5:] = ids[2, 2:] = PAD
+    given_ids = ids[:, : {"max_text_len": 8, "in between": 6, "batch width": 5}[given]]
+    img = encode_image(ft_mp, rand_patches(3, 3, 16), np.tile(np.arange(3), (3, 1)))
+    prefix = np.array([[BOS, 8, 9], [BOS, 10, 11], [BOS, 12, 13]])
+
+    def run(ids):
+        txt = encode_text(ft_mp, ids)
+        fused = fuse(ft_mp, txt, img, ids)
+        return txt, fused, decode_answer(ft_mp, fused, ids, prefix)
+
+    # the ids as tokenize makes them are the reference
+    txt, fused, logits = run(given_ids)
+    assert txt.shape[1] == fused.shape[1] == 5
+    for a, b in zip((txt, fused, logits), run(ids)):
+        assert a.data.tobytes() == b.data.tobytes()
+    # evaluation hands fuse features encoded beside longer questions
+    wider = Tensor(np.concatenate([txt.data, RNG.normal(size=(3, 3, 16))], axis=1))
+    assert fuse(ft_mp, wider, img, given_ids).data.tobytes() == fused.data.tobytes()
+    with pytest.raises(ShapeError, match="narrower"):
+        fuse(ft_mp, txt[:, :4], img, given_ids)
+    # row 1 holds a token in column 4, past these features
+    with pytest.raises(ShapeError, match="text ids"):
+        decode_answer(ft_mp, fused[:, :4], given_ids, prefix)
+    with pytest.raises(ShapeError, match="text ids"):
+        decode_answer(ft_mp, fused, given_ids[:, :4], prefix)
 
 
 def test_attention_rejects_a_key_slot_some_row_leaves_unmasked(mp):
@@ -385,7 +421,8 @@ class TestEndToEndGradients:
 def test_loss_checks_probe_the_training_forwards(monkeypatch):
     """Each loss suite's loss is the tensor a training forward returns: the
     pretraining objectives from pretrain_losses, the answer loss from
-    vqa_forward_loss on cut question ids and answers of two lengths."""
+    vqa_forward_loss on question ids shorter than max_text_len and answers
+    of two lengths."""
     calls, routes = [], []
 
     def spy(name):
@@ -411,8 +448,8 @@ def test_loss_checks_probe_the_training_forwards(monkeypatch):
     for suite, (loss, [(fn, args, out)]) in zip(suites, routes):
         if suite == "loss/cond_lm":
             assert fn == "vqa_forward_loss" and loss is out
-            _, cfg, _, ids, answers, vocab = args
-            assert text_width(ids) < cfg.max_text_len
+            mp, _, ids, answers, vocab = args
+            assert text_width(ids) < mp.cfg.max_text_len
             assert len({len(encode_plain(a, vocab)) for a in answers}) == len(answers) == 2
         else:
             assert fn == "pretrain_losses" and loss is out[0][suite.removeprefix("loss/")]

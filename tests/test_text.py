@@ -7,10 +7,12 @@ from m2i2.text import (
     CLS,
     MASK,
     PAD,
+    RESERVED,
     UNK,
     Vocab,
     build_vocab,
     detokenize,
+    encode_plain,
     mask_tokens,
     tokenize,
 )
@@ -77,6 +79,14 @@ class TestTokenize:
     def test_max_len_too_small(self, vocab):
         with pytest.raises(ConfigError):
             tokenize("a", vocab, 1)
+
+    @pytest.mark.parametrize("text", ["where is the <pad>", "<eos> <pad> circle", "<cls><mask>", "circle<bos>"])
+    def test_text_spelling_a_reserved_token_yields_no_reserved_id_but_unk(self, vocab, text):
+        # a PAD or EOS in a row would hide tokens from attention or end decoding
+        ids = tokenize(text, vocab, 32)
+        real = ids[1 : 1 + len(encode_plain(text, vocab))]
+        assert ids[0] == CLS and real.size and ((real >= len(RESERVED)) | (real == UNK)).all()
+        assert (ids[1 + real.size :] == PAD).all()
 
 
 class TestVocabIO:

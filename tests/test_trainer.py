@@ -15,7 +15,7 @@ from m2i2.config import preset
 from m2i2.errors import CheckpointError, ConfigError, NumericsError
 from m2i2.model import ModelParams
 from m2i2.momentum import FeatureQueue, enqueue, momentum_update
-from m2i2.objectives import combined_loss, cond_lm_loss, itm_loss, mlm_loss, pair_negatives
+from m2i2.objectives import combined_loss, itm_loss, mlm_loss, pair_negatives
 from m2i2.synth import generate_captions, generate_vqa
 from m2i2.tensor import concat
 from m2i2.text import PAD, RESERVED, Vocab, build_vocab, tokenize
@@ -140,19 +140,16 @@ def test_clip_noop_below_threshold():
 
 def test_answer_targets_framing():
     vocab = Vocab(RESERVED + ["yes", "no"])
-    prefix, target, n = answer_targets("yes", vocab, max_len=4)
+    row = answer_targets("yes", vocab, max_len=4)
     yes = vocab.token_to_id["yes"]
-    assert prefix.tolist() == [5, yes, 0, 0]  # BOS, yes, PAD, PAD
-    assert target.tolist() == [yes, 6, 0, 0]  # yes, EOS, PAD, PAD
-    assert n == 2
+    assert row.tolist() == [5, yes, 6, 0, 0]  # BOS, yes, EOS, PAD, PAD
 
 
 def test_answer_targets_truncation():
     vocab = Vocab(RESERVED + ["a"])
-    prefix, target, n = answer_targets("a a a a a a", vocab, max_len=3)
-    assert n == 3
-    assert len(prefix) == 3 and len(target) == 3
-    assert target[-1] == 6  # room is always left for EOS
+    row = answer_targets("a a a a a a", vocab, max_len=3)
+    a = vocab.token_to_id["a"]
+    assert row.tolist() == [5, a, a, 6]  # room is always left for EOS
 
 
 # ---- checkpoints ---------------------------------------------------------
@@ -259,6 +256,11 @@ def _malformed(raw: bytes, section: str) -> bytes:
         elif section == "name listed twice":
             # the table's byte count still agrees, so only a check on the names sees it
             header["arrays"][1][0] = header["arrays"][0][0]
+        elif section == "name not a str":
+            header["arrays"][0][0] = 7
+        elif section == "queue null":
+            # a pretrain checkpoint's slots, listed in the table, without their counters
+            header["queue"] = None
         elif section.startswith("no "):
             del header[section[3:]]
         else:
@@ -291,6 +293,7 @@ MALFORMED = {
     "oversized meta length": "truncated in its header",
     "oversized table": "data bytes; its table lists",
     "name listed twice": "malformed array table",
+    "name not a str": "malformed array table",
     "no step": "lacks a header field",
     "no epoch": "lacks a header field",
     "no adam_t": "lacks a header field",
@@ -301,6 +304,7 @@ MALFORMED = {
     "queue write_ptr 2": "does not fit its slots",
     "queue filled 3": "does not fit its slots",
     "queue filled 17": "does not fit its slots",
+    "queue null": "queue slots but no queue",
 }
 
 
@@ -839,7 +843,7 @@ def test_backward_frees_the_tape_while_it_walks_it(tmp_path):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        loss = trainer.vqa_forward_loss(mp, cfg, images, question_ids, [s.answer for s in samples], vocab)
+        loss = trainer.vqa_forward_loss(mp, images, question_ids, [s.answer for s in samples], vocab)
         entry = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         loss.backward()
@@ -965,19 +969,24 @@ def test_one_fusion_pass_matches_two(caption_data, tmp_path, monkeypatch, strate
     assert len(calls) == len(read_metrics(tmp_path / "run" / "metrics.jsonl"))
 
 
-# ---- ids cut after the batch's longest question ----------------------------
+# ---- text and fusion at the batch width ---------------------------------
 
 
-def _full_width_vqa_loss(mp, cfg, images, question_ids, answers, vocab):
-    """vqa_forward_loss as it was before the cut: text and fusion on all
-    max_text_len columns."""
-    img_feats = model.encode_full_images(mp, images)
-    fused = model.fuse(mp, model.encode_text(mp, question_ids), img_feats, question_ids)
-    framed = [trainer.answer_targets(a, vocab, cfg.max_answer_len) for a in answers]
-    logits = model.decode_answer(mp, fused, question_ids, np.stack([pre for pre, _, _ in framed]))
-    b_idx = np.concatenate([np.full(n, i) for i, (_, _, n) in enumerate(framed)])
-    p_idx = np.concatenate([np.arange(n) for _, _, n in framed])
-    return cond_lm_loss(logits[b_idx, p_idx], np.concatenate([t[:n] for _, t, n in framed]))
+def _all_columns(ids):
+    """model.text_width for a reference run: text and fusion on all
+    max_text_len columns, as before the cut."""
+    return ids.shape[1]
+
+
+def _recording(fn, widths):
+    """fn, recording its name and the width of the features it returns."""
+
+    def wrapped(mp, *args, **kwargs):
+        out = fn(mp, *args, **kwargs)
+        widths.append((fn.__name__, out.shape[1], kwargs.get("use_momentum", False)))
+        return out
+
+    return wrapped
 
 
 def test_vqa_forward_loss_runs_text_and_fusion_at_the_batch_width(vqa_data, monkeypatch):
@@ -992,24 +1001,18 @@ def test_vqa_forward_loss_runs_text_and_fusion_at_the_batch_width(vqa_data, monk
     width = lengths.max()
     assert width < cfg.max_text_len and lengths.min() < width
 
-    ref = _full_width_vqa_loss(mp, cfg, images, question_ids, answers, vocab)
-    ref.backward()
+    with monkeypatch.context() as full_width:
+        full_width.setattr(model, "text_width", _all_columns)
+        ref = trainer.vqa_forward_loss(mp, images, question_ids, answers, vocab)
+        ref.backward()
     ref_grads = {n: p.grad for n, p in mp.params.items()}
     mp.zero_grads()
 
     widths = []
-
-    def recording(fn):
-        def wrapped(mp, *args, **kwargs):
-            widths.append((fn.__name__, args[-1].shape[1]))
-            return fn(mp, *args, **kwargs)
-
-        return wrapped
-
-    monkeypatch.setattr(trainer, "encode_text", recording(model.encode_text))
-    monkeypatch.setattr(trainer, "fuse", recording(model.fuse))
-    loss = trainer.vqa_forward_loss(mp, cfg, images, question_ids, answers, vocab)
-    assert widths == [("encode_text", width), ("fuse", width)]
+    monkeypatch.setattr(trainer, "encode_text", _recording(model.encode_text, widths))
+    monkeypatch.setattr(trainer, "fuse", _recording(model.fuse, widths))
+    loss = trainer.vqa_forward_loss(mp, images, question_ids, answers, vocab)
+    assert widths == [("encode_text", width, False), ("fuse", width, False)]
     # forward values keep every bit; a weight gradient sums over fewer rows,
     # except in the answer decoder, whose teacher-forced memory is padded back
     assert loss.data.tobytes() == ref.data.tobytes()
@@ -1034,19 +1037,17 @@ def test_momentum_text_encoder_runs_at_the_batch_width(caption_data, monkeypatch
     width = (batch.ids != PAD).sum(axis=1).max()
     assert width < cfg.max_text_len
 
-    calls = []
-
-    def recording(mp, ids, use_momentum=False):
-        calls.append((ids.shape[1], use_momentum))
-        return model.encode_text(mp, ids, use_momentum=use_momentum)
-
-    monkeypatch.setattr(trainer, "encode_text", recording)
+    widths = []
+    monkeypatch.setattr(trainer, "encode_text", _recording(model.encode_text, widths))
     queue = FeatureQueue(cfg.queue_capacity, cfg.proj_dim)
     _, (img_proj_m, txt_proj_m) = trainer.pretrain_losses(mp, cfg, batch, queue, np.random.default_rng(2))
-    # the online and the momentum encoder both read ids cut after the
+    # the online and the momentum encoder both run on the columns up to the
     # longest caption; ITC reads only the momentum encoder's CLS row
-    assert calls == [(width, False), (width, True)]
-    full = model.encode_text(mp, batch.ids, use_momentum=True)
+    assert widths == [("encode_text", width, False), ("encode_text", width, True)]
+    with monkeypatch.context() as full_width:
+        full_width.setattr(model, "text_width", _all_columns)
+        full = model.encode_text(mp, batch.ids, use_momentum=True)
+    assert full.shape[1] == cfg.max_text_len
     expected = model.project_itc(mp, full[:, 0, :], "txt", use_momentum=True).data
     assert txt_proj_m.tobytes() == expected.tobytes()
 
@@ -1074,21 +1075,13 @@ def test_pretrain_losses_run_text_and_fusion_at_the_batch_width(caption_data, mo
         return parts, mom_projs, {n: p.grad for n, p in mp.params.items()}
 
     # the reference runs every encoder on all max_text_len columns
-    monkeypatch.setattr(trainer, "text_width", lambda ids: ids.shape[1])
-    ref_parts, ref_projs, ref_grads = losses()
-    monkeypatch.setattr(trainer, "text_width", model.text_width)
+    with monkeypatch.context() as full_width:
+        full_width.setattr(model, "text_width", _all_columns)
+        ref_parts, ref_projs, ref_grads = losses()
 
     widths = []
-
-    def recording(fn):
-        def wrapped(mp, *args, **kwargs):
-            widths.append((fn.__name__, args[-1].shape[1], kwargs.get("use_momentum", False)))
-            return fn(mp, *args, **kwargs)
-
-        return wrapped
-
-    monkeypatch.setattr(trainer, "encode_text", recording(model.encode_text))
-    monkeypatch.setattr(trainer, "fuse", recording(model.fuse))
+    monkeypatch.setattr(trainer, "encode_text", _recording(model.encode_text, widths))
+    monkeypatch.setattr(trainer, "fuse", _recording(model.fuse, widths))
     parts, projs, grads = losses()
     assert widths == [("encode_text", width, False), ("fuse", width, False), ("encode_text", width, True)]
     # forward values keep every bit: MLM reads caption positions, and ITM

@@ -290,8 +290,10 @@ def encode_image(
 
 def encode_full_images(mp: ModelParams, images: list[Image]) -> Tensor:
     """Image encoder over every patch of each center-cropped image; the
-    evaluation view. Returns [b, 1+N, dim]."""
+    evaluation view. Returns [b, 1+N, dim]; an empty batch raises ShapeError."""
     cfg = mp.cfg
+    if not images:
+        raise ShapeError("encode_full_images needs at least one image, got an empty batch")
     vis, pos = [], []
     for img in images:
         p = patchify(augment(img, cfg.image_size), cfg.patch_size)
@@ -361,10 +363,12 @@ def encode_text(mp: ModelParams, ids: np.ndarray, use_momentum: bool = False) ->
     as tokenize makes them. Runs on the columns up to the longest row (see
     text_width) and returns [b, W, dim]. Self-attention keeps max_text_len
     key slots, so every non-PAD row is bitwise the one the full-width ids
-    give, and the one a batch of one gives."""
+    give, and the one a batch of one gives. An empty batch raises ShapeError."""
     P = mp.source(use_momentum)
     cfg = mp.cfg
     ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2 or not len(ids):
+        raise ShapeError(f"encode_text needs a nonempty [b, L] id batch, got shape {ids.shape}")
     if ids.max(initial=0) >= cfg.vocab_size:
         raise IndexError(f"token id >= vocab size {cfg.vocab_size}")
     ids = ids[:, : text_width(ids)]

@@ -201,6 +201,60 @@ def test_evaluate_encodes_each_distinct_image_and_question_once_per_split(setup,
     assert [p["prediction"] for p in report.predictions] == [detokenize(a, vocab) for a in single]
 
 
+def _record_greedy_loops(monkeypatch):
+    """Patches evaluation.decode_answer to record its cached calls: one list
+    per cache-creating call, holding each step's logits."""
+    loops, decode = [], evaluation.decode_answer
+
+    def recording(mp, fused, ids, prefix, cache=None):
+        if cache is not None and "seen" not in cache:
+            loops.append([])
+        out = decode(mp, fused, ids, prefix, cache=cache)
+        if cache is not None:
+            loops[-1].append(out.data)
+        return out
+
+    monkeypatch.setattr(evaluation, "decode_answer", recording)
+    return loops
+
+
+def _per_question(loops):
+    """Each question's step logits as bytes, from loops over consecutive questions."""
+    return [[step[r].tobytes() for step in loop] for loop in loops for r in range(len(loop[0]))]
+
+
+@pytest.mark.parametrize("group, loop_rows", [(8, [8, 4]), (3, [4, 4, 4])], ids=["two chunks", "below a chunk"])
+def test_evaluate_decodes_groups_of_chunks_like_each_chunk_alone(setup, monkeypatch, group, loop_rows):
+    root, samples, cfg, _, vocab = setup
+    # shortest questions first, so that the chunks differ in their longest one
+    samples = sorted(samples, key=lambda s: _question_len(s.question, cfg, vocab))
+    assert cfg.batch_size == 4 and len(samples) == 12
+    imgs = [load_image(root / s.image, channels=1) for s in samples]
+    questions = [s.question for s in samples]
+    mp = _eos_biased_model(cfg, imgs, questions, vocab)
+    single = [generate_answer(mp, cfg, img, q, vocab) for img, q in zip(imgs, questions)]
+    assert 0 in {len(a) for a in single} and len({len(a) for a in single}) >= 2
+    lengths = [_question_len(q, cfg, vocab) for q in questions]
+    assert max(lengths[:4]) < max(lengths[4:8])
+
+    loops = _record_greedy_loops(monkeypatch)
+    with no_grad():
+        enc = evaluation._encode(mp, imgs, questions, vocab)
+        chunked = [a for lo in range(0, 12, 4) for a in evaluation._greedy(mp, *evaluation._fuse(mp, enc, slice(lo, lo + 4)), vocab)]
+    per_chunk = _per_question(loops)
+    assert [len(loop[0]) for loop in loops] == [4, 4, 4] and chunked == single
+
+    loops.clear()
+    monkeypatch.setattr(evaluation, "DECODE_GROUP", group)
+    report = evaluate(mp, cfg, samples, root, vocab)
+    # one cache-creating call per group of whole chunks, the last one partial
+    assert [len(loop[0]) for loop in loops] == loop_rows
+    grouped = _per_question(loops)
+    # a question may decode on beside its group; the steps its chunk ran are bitwise the same
+    assert all(g[: len(c)] == c for g, c in zip(grouped, per_chunk, strict=True))
+    assert [p["prediction"] for p in report.predictions] == [detokenize(a, vocab) for a in single]
+
+
 def test_generate_answers_of_an_empty_or_uneven_batch(setup):
     root, samples, cfg, mp, vocab = setup
     img = load_image(root / samples[0].image, channels=1)

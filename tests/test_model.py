@@ -13,6 +13,7 @@ from m2i2.model import (
     ModelParams,
     decode_answer,
     decode_image,
+    encode_full_images,
     encode_image,
     encode_text,
     fuse,
@@ -122,6 +123,10 @@ class TestEncodeImage:
         out = encode_image(mp, rand_patches(1, 2, 16), np.array([[0, 1]]), use_momentum=True)
         assert not out.requires_grad
 
+    def test_an_empty_batch_of_full_images_raises_shape_error(self, mp):
+        with pytest.raises(ShapeError, match="empty batch"):
+            encode_full_images(mp, [])
+
 
 class TestDecodeImage:
     def test_output_shape(self, mp):
@@ -183,6 +188,10 @@ class TestEncodeText:
         short = ids[:, :6]
         c = encode_text(mp, short).data[0, :5]
         assert np.abs(a - c).max() < 1e-9
+
+    def test_an_empty_batch_raises_shape_error(self, mp):
+        with pytest.raises(ShapeError, match=r"\(0, 8\)"):
+            encode_text(mp, np.zeros((0, 8), dtype=np.int64))
 
     def test_rows_of_pad_alone_run_at_two_columns(self, mp):
         assert encode_text(mp, np.full((2, 8), PAD)).shape == (2, 2, 16)

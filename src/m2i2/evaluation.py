@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import ConfigError, ContractError
-from .model import ModelParams, decode_answer, encode_full_images, encode_text, fuse
+from .model import ModelParams, decode_answer, distinct, encode_full_images, encode_text, fuse
 from .synth import VqaSample
 from .tensor import Tensor, cross_entropy, no_grad
 from .text import BOS, EOS, Vocab, detokenize, normalize, tokenize
@@ -78,8 +78,8 @@ def _encode(mp: ModelParams, images: list[Image], questions: list[str], vocab: V
     """Encode stage: the distinct Image objects go through the image encoder
     in one call, and the distinct questions through the text encoder in
     another."""
-    uniq_imgs, img_rows = _distinct(images, key=id)
-    uniq_qs, q_rows = _distinct(questions)
+    uniq_imgs, img_rows = distinct(images, key=id)
+    uniq_qs, q_rows = distinct(questions)
     ids = np.stack([tokenize(q, vocab, mp.cfg.max_text_len) for q in uniq_qs])
     return _Encoded(encode_full_images(mp, uniq_imgs), encode_text(mp, ids), ids, img_rows, q_rows)
 
@@ -107,14 +107,6 @@ def _fuse_batch(
 ):
     """Both stages over one batch: its fused features and token ids (see _fuse)."""
     return _fuse(mp, _encode(mp, images, questions, vocab), slice(None), capture=capture)
-
-
-def _distinct(items: list, key=lambda x: x) -> tuple[list, np.ndarray]:
-    """The distinct items in first-seen order, and each item's row among them."""
-    rows: dict = {}
-    for x in items:
-        rows.setdefault(key(x), (len(rows), x))
-    return [x for _, x in rows.values()], np.array([rows[key(x)][0] for x in items], dtype=np.int64)
 
 
 def fuse_question(

@@ -358,6 +358,17 @@ def text_width(ids: np.ndarray) -> int:
     return max(2, 1 + np.flatnonzero((ids != PAD).any(axis=0)).max(initial=0))
 
 
+def distinct(items, key=lambda x: x) -> tuple[list, np.ndarray]:
+    """The distinct items by key in first-seen order, and each item's row
+    among them; a caller encodes each distinct input once and gathers its
+    rows back into item order. Encoder rows never mix, so the gathered rows
+    are bitwise those of encoding every item."""
+    rows: dict = {}
+    for x in items:
+        rows.setdefault(key(x), (len(rows), x))
+    return [x for _, x in rows.values()], np.array([rows[key(x)][0] for x in items], dtype=np.int64)
+
+
 def encode_text(mp: ModelParams, ids: np.ndarray, use_momentum: bool = False) -> Tensor:
     """Text encoder; ids [b, L] with CLS first, PAD tail, L <= max_text_len,
     as tokenize makes them. Runs on the columns up to the longest row (see

@@ -37,13 +37,6 @@ class FeatureQueue:
         """Populated (img, txt) slots, storage order. Shape [filled, d]."""
         return self.img_slots[: self.filled], self.txt_slots[: self.filled]
 
-    def contents(self) -> tuple[np.ndarray, np.ndarray]:
-        """Populated slots in push order, oldest first."""
-        if self.filled < self.capacity:
-            return self.img_slots[: self.filled].copy(), self.txt_slots[: self.filled].copy()
-        order = np.roll(np.arange(self.capacity), -self.write_ptr)
-        return self.img_slots[order].copy(), self.txt_slots[order].copy()
-
 
 def check_unit(v: np.ndarray, what: str) -> None:
     if v.size and np.abs(np.linalg.norm(v, axis=-1) - 1.0).max() > 1e-6:

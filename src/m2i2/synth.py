@@ -21,6 +21,18 @@ SHAPES = ("circle", "square", "cross")
 POSITIONS = ("upper left", "upper right", "lower left", "lower right", "center")
 SIZES = ("small", "large")
 INTENSITIES = ("dark", "bright")
+ANSWER_TYPES = ("closed", "open")
+QUESTION_FORMS = ("freeform", "paraphrased")
+
+
+def _check(sample, **choices) -> None:
+    """Raise DataError unless every field of sample is a str and each field
+    named in choices holds one of its choices."""
+    for name, value in vars(sample).items():
+        if type(value) is not str:
+            raise DataError(f"{name} is not a string: {value!r}")
+        if name in choices and value not in choices[name]:
+            raise DataError(f"{name} {value!r} is not one of {choices[name]}")
 
 
 @dataclass
@@ -28,14 +40,20 @@ class CaptionSample:
     image: str  # path relative to the manifest root
     caption: str
 
+    def __post_init__(self):
+        _check(self)
+
 
 @dataclass
 class VqaSample:
     image: str
     question: str
     answer: str
-    answer_type: str  # closed | open
-    question_form: str = "freeform"  # freeform | paraphrased
+    answer_type: str  # one of ANSWER_TYPES
+    question_form: str = "freeform"  # one of QUESTION_FORMS
+
+    def __post_init__(self):
+        _check(self, answer_type=ANSWER_TYPES, question_form=QUESTION_FORMS)
 
 
 def render_shape(shape: str, position: str, size: str, intensity: str, n: int = 64) -> Image:
@@ -131,14 +149,16 @@ def generate_vqa(n: int, seed: int, out_dir, image_size: int = 64) -> list[VqaSa
 
 
 def _load_manifest(path, sample: type) -> list:
-    """One sample per line of a JSON-lines manifest; a line that is not a
-    JSON object with sample's fields (those with defaults may be left out)
-    raises DataError naming the file and line."""
+    """One sample per line of a UTF-8 JSON-lines manifest; a line that is
+    not UTF-8, or not a JSON object of sample's fields (those with defaults
+    may be left out) with the values sample accepts, raises DataError naming
+    the file and line."""
     out = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for n, line in enumerate(f, 1):
+            # decoded here, not by the file, so a bad byte fails on its line
             try:
-                out.append(sample(**json.loads(line)))
+                out.append(sample(**json.loads(line.decode("utf-8"))))
             except (ValueError, TypeError) as e:
                 raise DataError(f"{path} line {n}: not a {sample.__name__} JSON object: {e}") from e
     return out

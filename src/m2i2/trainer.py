@@ -26,6 +26,7 @@ from .model import (
     ModelParams,
     decode_answer,
     decode_image,
+    distinct,
     encode_full_images,
     encode_image,
     encode_text,
@@ -599,9 +600,19 @@ def vqa_forward_loss(
     vocab: Vocab,
 ) -> Tensor:
     """Teacher-forced conditional LM loss for a VQA batch (full images),
-    scored at every answer token and EOS; lengths come from mp.cfg."""
-    img_feats = encode_full_images(mp, images)
-    fused = fuse(mp, encode_text(mp, question_ids), img_feats, question_ids)
+    scored at every answer token and EOS; lengths come from mp.cfg.
+
+    Each distinct Image object and each distinct question id row goes
+    through its encoder once (see distinct), and the rows are gathered back
+    into batch order for fusion. The loss keeps every bit; the gather sums a
+    repeated input's row gradients before the encoder's backward, so only
+    the encoders' weight gradients move, in their last bits.
+    """
+    uniq_imgs, img_rows = distinct(images, key=id)
+    uniq_ids, q_rows = distinct(question_ids, key=lambda row: row.tobytes())
+    img_feats = encode_full_images(mp, uniq_imgs)[img_rows]
+    txt_feats = encode_text(mp, np.stack(uniq_ids))[q_rows]
+    fused = fuse(mp, txt_feats, img_feats, question_ids)
     rows = np.stack([answer_targets(a, vocab, mp.cfg.max_answer_len) for a in answers])
     logits = decode_answer(mp, fused, question_ids, rows[:, :-1])
     targets = rows[:, 1:]

@@ -33,6 +33,13 @@ from m2i2.trainer import (
 from m2i2.vision import Image, load_image, mask_patches, patchify, augment
 
 
+def push_order(q):
+    """The queue's populated slots, oldest push first: the last filled
+    pushes end just before write_ptr."""
+    order = (q.write_ptr - q.filled + np.arange(q.filled)) % q.capacity
+    return q.img_slots[order], q.txt_slots[order]
+
+
 def report(n, ok, detail):
     print(f"\n[criterion {n:2d}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {n} failed: {detail}"
@@ -301,7 +308,7 @@ def test_criterion_06_momentum_queue_laws():
             enqueue(q, batch, batch)
             oracle.extend(batch)
         expect = np.array(oracle[-cap:]) if oracle else np.zeros((0, 4))
-        got, _ = q.contents()
+        got, _ = push_order(q)
         if not (got.shape == expect.shape and np.allclose(got, expect, atol=0)):
             queue_ok = False
             break

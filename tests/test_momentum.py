@@ -11,6 +11,13 @@ def unit_rows(b, d, rng):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+def push_order(q):
+    """The queue's populated slots, oldest push first: the last filled
+    pushes end just before write_ptr."""
+    order = (q.write_ptr - q.filled + np.arange(q.filled)) % q.capacity
+    return q.img_slots[order], q.txt_slots[order]
+
+
 def small_params():
     cfg = ModelConfig(
         dim=8, heads=2, depth_img_enc=1, depth_txt_enc=1, depth_fusion=1,
@@ -66,7 +73,7 @@ class TestFeatureQueue:
         for bimg in batches:
             enqueue(q, bimg, bimg)
         assert q.filled == 16
-        img, _ = q.contents()
+        img, _ = push_order(q)
         expect = np.concatenate([batches[1], batches[2]])
         assert np.array_equal(img, expect)
 
@@ -119,7 +126,7 @@ class TestFeatureQueue:
                 pushed_img.extend(vi)
                 pushed_txt.extend(vt)
             keep = min(len(pushed_img), cap)
-            img, txt = q.contents()
+            img, txt = push_order(q)
             assert np.array_equal(img, np.array(pushed_img[-keep:]))
             assert np.array_equal(txt, np.array(pushed_txt[-keep:]))
             assert q.filled == keep

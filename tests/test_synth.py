@@ -123,6 +123,34 @@ def test_malformed_manifest_line_raises_data_error_naming_file_and_line(tmp_path
         load(tmp_path)
 
 
+GOOD_VQA = {"image": "a.pgm", "question": "q", "answer": "a", "answer_type": "open"}
+
+
+def test_manifest_line_that_is_not_utf8_raises_data_error_naming_file_and_line(tmp_path):
+    bad = json.dumps({**GOOD_VQA, "answer": "\u00e9"}, ensure_ascii=False).encode("latin-1")  # a lone 0xE9 byte
+    (tmp_path / "vqa.jsonl").write_bytes(json.dumps(GOOD_VQA).encode() + b"\n" + bad + b"\n")
+    with pytest.raises(DataError, match=r"vqa\.jsonl line 2.*utf-8"):
+        load_vqa(tmp_path)
+
+
+@pytest.mark.parametrize("manifest", ["captions", "vqa"])
+def test_manifest_field_that_is_not_a_string_raises_data_error_naming_file_and_line(tmp_path, manifest):
+    good = GOOD_VQA if manifest == "vqa" else {"image": "a.pgm", "caption": "c"}
+    bad = {**good, "image": 5, "caption" if manifest == "captions" else "question": ["q"]}
+    (tmp_path / f"{manifest}.jsonl").write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    load = load_captions if manifest == "captions" else load_vqa
+    with pytest.raises(DataError, match=rf"{manifest}\.jsonl line 2.*image is not a string: 5"):
+        load(tmp_path)
+
+
+@pytest.mark.parametrize("key, value", [("answer_type", "Closed"), ("question_form", "free")])
+def test_vqa_line_of_an_unknown_answer_type_or_question_form_raises_data_error(tmp_path, key, value):
+    lines = [GOOD_VQA, {**GOOD_VQA, "question_form": "paraphrased"}, {**GOOD_VQA, key: value}]
+    (tmp_path / "vqa.jsonl").write_text("".join(json.dumps(d) + "\n" for d in lines))
+    with pytest.raises(DataError, match=rf"vqa\.jsonl line 3.*{key} '{value}' is not one of"):
+        load_vqa(tmp_path)
+
+
 def test_vqa_shares_images_across_questions(tmp_path):
     samples = generate_vqa(12, 0, tmp_path)
     assert len(set(s.image for s in samples)) < len(samples)

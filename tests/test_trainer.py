@@ -13,6 +13,7 @@ import pytest
 from m2i2 import model, trainer
 from m2i2.config import preset
 from m2i2.errors import CheckpointError, ConfigError, NumericsError
+from m2i2.gradcheck import E2E_TOL, probe_param_errs
 from m2i2.model import ModelParams
 from m2i2.momentum import FeatureQueue, enqueue, momentum_update
 from m2i2.objectives import combined_loss, itm_loss, mlm_loss, pair_negatives
@@ -32,7 +33,7 @@ from m2i2.trainer import (
     restore_model,
     save_checkpoint,
 )
-from m2i2.vision import load_image
+from m2i2.vision import Image, load_image
 
 
 def tiny_cfg(**kw):
@@ -1103,3 +1104,124 @@ def test_pretrain_losses_run_text_and_fusion_at_the_batch_width(caption_data, mo
             np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-15, err_msg=name)
         else:
             np.testing.assert_allclose(g, ref_grads[name], rtol=1e-9, err_msg=name)
+
+
+# ---- each distinct input encoded once ------------------------------------
+
+# the tensors of the image and text encoders, which the gather's summed row
+# gradients reach; every other tensor's gradient keeps its bits
+ENCODER_TENSORS = ("img_enc.", "txt_enc.", "patch_embed", "img_cls", "img_pos", "tok_embed", "txt_pos")
+
+
+def _every_row(items, key=None):
+    """model.distinct for a per-row reference: every item its own input."""
+    return list(items), np.arange(len(items))
+
+
+def _vqa_batch(root, samples, cfg, vocab, share_images=True):
+    """A finetune batch as _train assembles it: with share_images, one Image
+    per file; else one per sample."""
+    paths = [os.path.join(root, s.image) for s in samples]
+    if share_images:
+        loaded = {p: load_image(p, channels=cfg.channels) for p in dict.fromkeys(paths)}
+        images = [loaded[p] for p in paths]
+    else:
+        images = [load_image(p, channels=cfg.channels) for p in paths]
+    question_ids = np.stack([tokenize(s.question, vocab, cfg.max_text_len) for s in samples])
+    return images, question_ids, [s.answer for s in samples]
+
+
+def _vqa_loss_and_grads(mp, batch, vocab):
+    mp.zero_grads()
+    loss = trainer.vqa_forward_loss(mp, *batch, vocab)
+    loss.backward()
+    return loss, {n: p.grad for n, p in mp.params.items()}
+
+
+def test_vqa_forward_loss_encodes_each_distinct_image_and_question_once(vqa_data, monkeypatch):
+    root, samples = vqa_data
+    cfg = tiny_cfg(seed=5, phase="finetune")
+    mp = tiny_params(cfg, seed=5)
+    vocab = build_vocab([s.question for s in samples] + [s.answer for s in samples], cfg.vocab_size)
+    images, question_ids, answers = _vqa_batch(root, samples, cfg, vocab)
+    n_imgs, n_qs = len({id(img) for img in images}), len({q.tobytes() for q in question_ids})
+    assert n_imgs < len(samples) and n_qs < len(samples)
+
+    seen_imgs, seen_ids = [], []
+    encode_full_images, encode_text = trainer.encode_full_images, trainer.encode_text
+
+    def recording_images(mp, imgs):
+        seen_imgs.append([id(img) for img in imgs])
+        return encode_full_images(mp, imgs)
+
+    def recording_text(mp, ids, use_momentum=False):
+        seen_ids.append([row.tobytes() for row in ids])
+        return encode_text(mp, ids, use_momentum=use_momentum)
+
+    monkeypatch.setattr(trainer, "encode_full_images", recording_images)
+    monkeypatch.setattr(trainer, "encode_text", recording_text)
+    trainer.vqa_forward_loss(mp, images, question_ids, answers, vocab).backward()
+    # one call per encoder, each distinct input once, in first-seen order
+    assert seen_imgs == [list(dict.fromkeys(id(img) for img in images))] and len(seen_imgs[0]) == n_imgs
+    assert seen_ids == [list(dict.fromkeys(q.tobytes() for q in question_ids))] and len(seen_ids[0]) == n_qs
+
+
+def test_vqa_forward_loss_with_repeats_moves_only_encoder_gradients(vqa_data, monkeypatch):
+    root, samples = vqa_data
+    cfg = tiny_cfg(seed=6, phase="finetune")
+    mp = tiny_params(cfg, seed=6)
+    vocab = build_vocab([s.question for s in samples] + [s.answer for s in samples], cfg.vocab_size)
+    batch = _vqa_batch(root, samples, cfg, vocab)
+    with monkeypatch.context() as per_row:
+        per_row.setattr(trainer, "distinct", _every_row)
+        ref, ref_grads = _vqa_loss_and_grads(mp, batch, vocab)
+    loss, grads = _vqa_loss_and_grads(mp, batch, vocab)
+    assert loss.data.tobytes() == ref.data.tobytes()
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert g is not None and ref_grads[name] is not None, name
+        if not name.startswith(ENCODER_TENSORS):
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+        elif name.endswith(".kb"):
+            # a key bias shifts every score of a query row alike, which the
+            # softmax cancels: its gradient is float noise around an exact 0
+            np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-15, err_msg=name)
+        else:
+            # a repeated input's row gradients are summed before its encoder's
+            # backward, so the weight gradient's sum is regrouped
+            assert np.abs(g - ref_grads[name]).max() <= 1e-12 * np.abs(ref_grads[name]).max(), name
+
+
+def test_vqa_forward_loss_without_repeats_keeps_every_gradient_bit(vqa_data, monkeypatch):
+    root, samples = vqa_data
+    cfg = tiny_cfg(seed=6, phase="finetune")
+    mp = tiny_params(cfg, seed=6)
+    vocab = build_vocab([s.question for s in samples] + [s.answer for s in samples], cfg.vocab_size)
+    # one Image per sample, and questions that all differ
+    batch = _vqa_batch(root, samples[:6], cfg, vocab, share_images=False)
+    assert len({q.tobytes() for q in batch[1]}) == len(batch[1])
+    with monkeypatch.context() as per_row:
+        per_row.setattr(trainer, "distinct", _every_row)
+        ref, ref_grads = _vqa_loss_and_grads(mp, batch, vocab)
+    loss, grads = _vqa_loss_and_grads(mp, batch, vocab)
+    assert loss.data.tobytes() == ref.data.tobytes()
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert g.tobytes() == ref_grads[name].tobytes(), name
+
+
+def test_vqa_forward_loss_gradient_through_repeated_inputs_matches_finite_differences():
+    # the gradient gate's answer-loss configuration, on three rows that share
+    # an image and a question
+    cfg = preset("test", vocab_size=32, max_text_len=8, max_answer_len=4, image_size=8, patch_size=4, batch_size=3, phase="finetune")
+    mp = tiny_params(cfg, seed=0)
+    rng = np.random.default_rng(8)
+    texts, answers = ["a dot", "one bar", "a dot"], ["yes", "a bar", "no"]
+    vocab = build_vocab(texts + answers, cfg.vocab_size)
+    shared = Image(rng.random((cfg.image_size, cfg.image_size, cfg.channels)))
+    images = [shared, shared, Image(rng.random((cfg.image_size, cfg.image_size, cfg.channels)))]
+    ids = np.stack([tokenize(t, vocab, cfg.max_text_len) for t in texts])
+    # the encoders' tensors, which the gather's summed row gradients reach
+    probes = ["patch_embed.w", "img_cls", "img_pos", "img_enc.0.mlp.w1", "tok_embed", "txt_pos", "txt_enc.0.mlp.w1"]
+    err = probe_param_errs(mp, lambda: trainer.vqa_forward_loss(mp, images, ids, answers, vocab), probes, rng)
+    assert err < E2E_TOL

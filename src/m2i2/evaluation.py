@@ -19,10 +19,10 @@ from .tensor import Tensor, cross_entropy, no_grad
 from .text import BOS, EOS, Vocab, detokenize, normalize, tokenize
 from .vision import Image, load_image, write_image
 
-# questions evaluate decodes in one cached greedy loop, rounded down to whole
-# batch_size chunks and never less than one. A decoder step has a fixed cost
-# that wider steps share, and each question's cache holds
-# 2 * depth_ans_dec * (1 + max_text_len) * dim floats, which bounds the group
+# questions evaluate fuses in one call and decodes in one cached greedy loop.
+# A decoder step has a fixed cost that wider steps share, and each question's
+# cache holds 2 * depth_ans_dec * (1 + W) * dim floats, W the group's longest
+# question, which bounds the group
 DECODE_GROUP = 48
 
 
@@ -89,9 +89,9 @@ def _fuse(mp: ModelParams, enc: _Encoded, items: slice, capture: list | None = N
     their order, cut after the items' longest question (see fuse; so a
     captured map is [b, heads, W, S]), and their token ids [b, max_text_len].
 
-    The items' rows are gathered from the encode stage, and fusion keeps
-    max_text_len key slots in self-attention (see encode_text). Rows never
-    mix, so every non-PAD row is bitwise the one a batch of one gives.
+    The items' rows are gathered from the encode stage. Rows never mix, so a
+    non-PAD row agrees with the one a batch of one gives up to the last bits
+    (see encode_text).
     """
     q_rows = enc.q_rows[items]
     ids = enc.ids[q_rows]
@@ -144,21 +144,6 @@ def generate_answers(
         return _greedy(mp, *_fuse_batch(mp, images, questions, vocab), vocab)
 
 
-def _join(fused: list[tuple[Tensor, np.ndarray]]) -> tuple[Tensor, np.ndarray]:
-    """Fused chunks (see _fuse) as one batch: each chunk's features padded
-    with zero rows to the widest chunk, then the features and ids
-    concatenated in order; no tape.
-
-    The ids past each question are PAD, so decode_answer masks the padded
-    rows' key slots: they get probability exactly 0, the softmax and
-    probs @ v sum the same slots in the same order, and each row's logits
-    are bitwise those of its own chunk.
-    """
-    width = max(f.shape[1] for f, _ in fused)
-    rows = [np.pad(f.data, ((0, 0), (0, width - f.shape[1]), (0, 0))) for f, _ in fused]
-    return Tensor(np.concatenate(rows)), np.concatenate([ids for _, ids in fused])
-
-
 def _greedy(mp: ModelParams, fused: Tensor, ids: np.ndarray, vocab: Vocab) -> list[list[int]]:
     """Greedy answers of fused features and ids (see _fuse), one
     decoder step per token; run under no_grad.
@@ -172,7 +157,8 @@ def _greedy(mp: ModelParams, fused: Tensor, ids: np.ndarray, vocab: Vocab) -> li
     A row stops recording at its EOS; the loop ends when every row has
     stopped or after max_answer_len - 1 tokens, when the prefix fills
     max_answer_len. Rows never mix, and the causal mask hides the tokens a
-    row is fed after it stopped, so each row decodes as it would alone.
+    row is fed after it stopped, so each row's logits are those it would
+    get alone up to the last bits.
     """
     out: list[list[int]] = [[] for _ in ids]
     prefix = np.full((len(ids), 1), BOS, dtype=np.int64)
@@ -215,14 +201,11 @@ def evaluate(
     """Exact-match accuracy after normalization, split by answer type.
 
     The split's distinct images and questions are encoded once, with no
-    tape, in one call per encoder (see _encode).
-    Each cfg.batch_size chunk of questions is then fused, cut after its
-    longest question (see _fuse). The consecutive chunks of each
-    DECODE_GROUP questions (at least one chunk) are joined (see _join) and
-    decoded by one cached greedy loop (see _greedy), so the split takes
-    fewer decoder steps, each wider. Every step's logits are bitwise those
-    of its chunk decoded alone, and predictions equal per-question
-    generate_answer calls.
+    tape, in one call per encoder (see _encode). Each DECODE_GROUP slice of
+    questions is then fused in one call, cut after its longest question
+    (see _fuse), and decoded by one cached greedy loop (see _greedy).
+    Predictions equal per-question generate_answer calls, except where a
+    step's two best logits tie to the last bits.
     """
     if answer_type_filter not in ("all", "free"):
         raise ConfigError(f"unknown answer_type_filter {answer_type_filter!r}; choose 'all' or 'free'")
@@ -234,14 +217,11 @@ def evaluate(
         name: load_image(os.path.join(data_root, name), channels=cfg.channels)
         for name in {s.image for s in samples}
     }
-    chunk = cfg.batch_size
-    group = max(1, DECODE_GROUP // chunk) * chunk
     answers: list[list[int]] = []
     with no_grad():
         enc = _encode(mp, [images[s.image] for s in samples], [s.question for s in samples], vocab)
-        for lo in range(0, len(samples), group):
-            fused = [_fuse(mp, enc, slice(c, c + chunk)) for c in range(lo, min(lo + group, len(samples)), chunk)]
-            answers += _greedy(mp, *_join(fused), vocab)
+        for lo in range(0, len(samples), DECODE_GROUP):
+            answers += _greedy(mp, *_fuse(mp, enc, slice(lo, lo + DECODE_GROUP)), vocab)
     report = EvalReport()
     for s, toks in zip(samples, answers):
         pred = detokenize(toks, vocab)

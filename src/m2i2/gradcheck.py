@@ -144,8 +144,8 @@ def loss_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
     # at 30x the init scale with a bias toward "match" keeps the rows apart
     pre.params["itm.w"].data = 30 * pre.params["itm.w"].data
     pre.params["itm.b"].data = np.array([0.0, 1.0])
-    # texts shorter than max_text_len, so text and fusion run at the batch width
-    # and teacher forcing pads the memory back; answers of 1 and 2 tokens
+    # texts shorter than max_text_len, so text, fusion and the answer decoder's
+    # memory run at the batch width; answers of 1 and 2 tokens
     texts, answers = ["a dot", "one bar"], ["yes", "a bar"]
     vocab = build_vocab(texts + answers, cfg.vocab_size)
     images = [Image(rng.random((cfg.image_size, cfg.image_size, cfg.channels))) for _ in texts]

@@ -87,7 +87,10 @@ def _layout(cfg: ModelConfig):
             for att in ("attn",) + (("xattn",) if cross else ()):
                 for w in ("wq", "wk", "wv", "wo"):
                     yield f"{p}.{att}.{w}", (d, d), None
-                    yield f"{p}.{att}.{w[1]}b", (d,), 0.0
+                    # no key bias: it adds q·kb to every score of a query
+                    # row alike, which the softmax cancels
+                    if w != "wk":
+                        yield f"{p}.{att}.{w[1]}b", (d,), 0.0
             yield f"{p}.mlp.w1", (d, MLP_RATIO * d), None
             yield f"{p}.mlp.b1", (MLP_RATIO * d,), 0.0
             yield f"{p}.mlp.w2", (MLP_RATIO * d, d), None
@@ -196,14 +199,12 @@ def attention(
 
     The [b, L, dim] q, k and v projections go to the attention op as they
     are. bias is an additive attention mask broadcastable to [b, heads, Lq,
-    Lk]; kv switches to cross-attention. A bias may have more key columns
-    than there are keys; those slots must be masked in every row, and get
-    zero keys and values. capture, when given, receives the
-    post-softmax attention tensor. cache, when given, keeps this call's
-    [b, Lk, dim] keys and values, zero slots included, under prefix for the
-    next call: self-attention appends the rows of x to the cached ones, so
-    x holds only new positions and needs no zero slots; cross-attention
-    projects kv on the first call only.
+    Lk], Lk the keys' length; kv switches to cross-attention. capture, when
+    given, receives the post-softmax attention tensor. cache, when given,
+    keeps this call's [b, Lk, dim] keys and values under prefix for the next
+    call: self-attention appends the rows of x to the cached ones, so x
+    holds only new positions; cross-attention projects kv on the first call
+    only.
     """
     src = kv if kv is not None else x
     q = linear(x, P[f"{prefix}.wq"], P[f"{prefix}.qb"])
@@ -211,21 +212,10 @@ def attention(
     if kv is not None and cached is not None:
         k, v = cached
     else:
-        k = linear(src, P[f"{prefix}.wk"], P[f"{prefix}.kb"])
+        k = src @ P[f"{prefix}.wk"]
         v = linear(src, P[f"{prefix}.wv"], P[f"{prefix}.vb"])
         if cached is not None:
             k, v = concat([cached[0], k], axis=1), concat([cached[1], v], axis=1)
-        n, slots = k.shape[1], 0 if bias is None else bias.shape[-1]
-        if slots > n:
-            # ids cut after a batch's longest question: the key slots past the keys'
-            # rows hold zeros, and a masked slot gets probability exactly 0, so the
-            # softmax and probs @ v sum the same terms in the same order as at full width
-            if not (bias[..., n:] <= NEG_BIAS).all():
-                raise ContractError(f"key slots {n}..{slots - 1} have no key rows but are not masked in every row")
-            if cache is not None and kv is None:
-                raise ContractError("cached self-attention needs a key slot per position, and no more")
-            zeros = Tensor(np.zeros((k.shape[0], slots - n, k.shape[2])))
-            k, v = concat([k, zeros], axis=1), concat([v, zeros], axis=1)
         if cache is not None:
             cache[prefix] = (k, v)
     out = scaled_dot_product_attention(q, k, v, heads, bias, capture)
@@ -340,22 +330,15 @@ def decode_image(
     return linear(flat, P["mim.w"], P["mim.b"]).reshape(b, k, cfg.patch_dim)
 
 
-def pad_bias(ids: np.ndarray, slots: int) -> np.ndarray:
-    """Additive attention bias masking PAD key positions of ids [b, L];
-    [b,1,1,slots], its key columns past L masked too."""
-    L = ids.shape[1]
-    if slots < L:
-        raise ShapeError(f"ids of width {L} exceed {slots} key slots")
-    bias = np.full((len(ids), slots), NEG_BIAS)
-    bias[:, :L][ids != PAD] = 0.0
-    return bias[:, None, None, :]
+def pad_bias(ids: np.ndarray) -> np.ndarray:
+    """Additive attention bias masking the PAD key positions of ids [b, L];
+    [b, 1, 1, L]."""
+    return np.where(ids == PAD, NEG_BIAS, 0.0)[:, None, None, :]
 
 
 def text_width(ids: np.ndarray) -> int:
     """The columns of ids [n, L] up to the longest row's last non-PAD token."""
-    # two columns at least: numpy multiplies a one-row matrix on another
-    # BLAS path, whose bits differ from a row of a longer product
-    return max(2, 1 + np.flatnonzero((ids != PAD).any(axis=0)).max(initial=0))
+    return 1 + np.flatnonzero((ids != PAD).any(axis=0)).max(initial=0)
 
 
 def distinct(items, key=lambda x: x) -> tuple[list, np.ndarray]:
@@ -372,18 +355,19 @@ def distinct(items, key=lambda x: x) -> tuple[list, np.ndarray]:
 def encode_text(mp: ModelParams, ids: np.ndarray, use_momentum: bool = False) -> Tensor:
     """Text encoder; ids [b, L] with CLS first, PAD tail, L <= max_text_len,
     as tokenize makes them. Runs on the columns up to the longest row (see
-    text_width) and returns [b, W, dim]. Self-attention keeps max_text_len
-    key slots, so every non-PAD row is bitwise the one the full-width ids
-    give, and the one a batch of one gives. An empty batch raises ShapeError."""
+    text_width) and returns [b, W, dim]; self-attention scores those W keys,
+    so a non-PAD row agrees with the one the full-width ids give, or a batch
+    of one gives, up to the last bits. An empty batch, or ids wider than
+    max_text_len, raise ShapeError."""
     P = mp.source(use_momentum)
     cfg = mp.cfg
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 2 or not len(ids):
-        raise ShapeError(f"encode_text needs a nonempty [b, L] id batch, got shape {ids.shape}")
+    if ids.ndim != 2 or not len(ids) or ids.shape[1] > cfg.max_text_len:
+        raise ShapeError(f"encode_text needs a nonempty [b, L <= {cfg.max_text_len}] id batch, got shape {ids.shape}")
     if ids.max(initial=0) >= cfg.vocab_size:
         raise IndexError(f"token id >= vocab size {cfg.vocab_size}")
     ids = ids[:, : text_width(ids)]
-    bias = pad_bias(ids, cfg.max_text_len)
+    bias = pad_bias(ids)
     x = P["tok_embed"][ids] + P["txt_pos"][: ids.shape[1]]
     return transformer_stack(x, P, "txt_enc", cfg.depth_txt_enc, cfg.heads, self_bias=bias)
 
@@ -416,7 +400,7 @@ def fuse(
         "fusion",
         cfg.depth_fusion,
         cfg.heads,
-        self_bias=pad_bias(text_ids, cfg.max_text_len),
+        self_bias=pad_bias(text_ids),
         memory=image_features,
         capture=capture,
     )
@@ -434,10 +418,8 @@ def decode_answer(
     fused_context [b, W, dim] are the fused features of text_ids [b, L],
     W <= L <= max_text_len, as fuse returns them; every id past column W
     must be PAD. prefix_ids [b, Lp] must start with BOS. Cross-attention
-    memory is the fused CLS, then the fused rows, under a mask of
-    1 + max_text_len key slots that masks PAD slots and the slots past the
-    rows; those get zero keys and values (see attention), except in
-    teacher forcing, which pads the rows back to max_text_len.
+    memory is the fused CLS, then the fused rows: 1 + W key slots under a
+    mask that hides the PAD ones.
 
     Without a cache this is teacher forcing: returns next-token logits for
     every prefix position, [b, Lp, vocab]. With a cache (a dict, empty on
@@ -456,29 +438,19 @@ def decode_answer(
         raise ContractError("answer prefix must be a nonempty [b, Lp] id array")
     if (prefix_ids[:, 0] != BOS).any():
         raise ContractError("answer prefix must start with BOS")
-    teacher_forcing = cache is None
-    if teacher_forcing:
+    if cache is None:
         cache = {}
     Lp, seen = prefix_ids.shape[1], cache.get("seen", 0)
     if Lp <= seen:
         raise ContractError(f"answer prefix of length {Lp} adds nothing to the {seen} cached positions")
     if "memory" not in cache:
-        b, w, d = fused_context.shape
+        b, w, _ = fused_context.shape
         if len(text_ids) != b or text_ids.shape[1] < w or (text_ids[:, w:] != PAD).any():
             raise ShapeError(f"text ids {text_ids.shape} for fused features {fused_context.shape}")
-        text_ids = text_ids[:, :w]
         # the fused CLS slot first, never masked
-        mem_ids = np.concatenate([np.full((b, 1), CLS), text_ids], axis=1)
-        if teacher_forcing:
-            # the last full-width step: the rows padded to max_text_len, PAD rows
-            # zeroed. Cutting them keeps the loss's bits but regroups its
-            # gradient's sums, and criterion 4 passes or fails on such last bits
-            # until ROADMAP item 1 lands (item 2)
-            real = np.pad(text_ids != PAD, ((0, 0), (0, cfg.max_text_len - w)))
-            tail = Tensor(np.zeros((b, cfg.max_text_len - w, d)))
-            fused_context = concat([fused_context, tail], axis=1) * real[:, :, None]
+        mem_ids = np.concatenate([np.full((b, 1), CLS), text_ids[:, :w]], axis=1)
         memory = concat([fused_context[:, 0:1, :], fused_context], axis=1)
-        cache["memory"] = memory, pad_bias(mem_ids, 1 + cfg.max_text_len)
+        cache["memory"] = memory, pad_bias(mem_ids)
     memory, mem_bias = cache["memory"]
     causal = np.where(np.tril(np.ones((Lp, Lp))) > 0, 0.0, NEG_BIAS)[None, None, seen:]
     x = P["tok_embed"][prefix_ids[:, seen:]] + P["ans_pos"][seen:Lp]

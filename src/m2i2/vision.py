@@ -63,8 +63,10 @@ def _read_header(f, path) -> list[bytes]:
 def load_image(path, channels: int | None = None) -> Image:
     """Read a binary PGM (P5) or PPM (P6) file; pixels scaled to [0,1]. A
     header that is not one of these formats, is cut short, or whose width,
-    height or maxval is not a positive integer (maxval 255), and pixel data
-    cut short, raise DataError; a file that cannot be opened, OSError."""
+    height or maxval is not a positive integer (maxval 255), pixel data cut
+    short, and a P6 file read with channels=1 raise DataError; a file that
+    cannot be opened, OSError. A P5 file read with channels=3 is repeated
+    into three channels."""
     try:
         f = open(path, "rb")
     except OSError as e:
@@ -88,6 +90,8 @@ def load_image(path, channels: int | None = None) -> Image:
     px = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, c).astype(np.float64) / 255.0
     if channels == 3 and c == 1:
         px = np.repeat(px, 3, axis=2)
+    elif channels is not None and channels != c:
+        raise DataError(f"{path} holds {c} channels, but {channels} are expected")
     return Image(px)
 
 

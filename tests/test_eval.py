@@ -115,13 +115,19 @@ def test_evaluate_unknown_filter_rejected(setup, name):
 
 def _eos_biased_model(cfg, imgs, questions, vocab):
     """A fresh model with an EOS bias inside the spread of first-step
-    margins: some rows stop at once, while the rest of their batch decodes on."""
+    margins: some rows stop at once, while the rest of their batch decodes on.
+
+    The bias is the mean of the two middle sorted margins, not their median:
+    over an odd count the median is one row's own margin, which would tie
+    EOS with that row's best token."""
     mp = ModelParams(cfg.model_config(), np.random.default_rng(0))
     first = np.stack([
         decode_answer(mp, *fuse_question(mp, cfg, img, q, vocab)[:2], np.array([[BOS]])).data[0, -1, : len(vocab)]
         for img, q in zip(imgs, questions)
     ])
-    mp.params["ans_head.b"].data[EOS] += np.median(first.max(axis=1) - first[:, EOS])
+    margins = np.sort(first.max(axis=1) - first[:, EOS])
+    mid = len(margins) // 2
+    mp.params["ans_head.b"].data[EOS] += (margins[mid - 1] + margins[mid]) / 2
     return mp
 
 
@@ -186,6 +192,7 @@ def test_evaluate_encodes_each_distinct_image_and_question_once_per_split(setup,
     monkeypatch.setattr(evaluation, "encode_full_images", counting_images)
     monkeypatch.setattr(evaluation, "encode_text", counting_text)
     monkeypatch.setattr(evaluation, "fuse", recording_fuse)
+    monkeypatch.setattr(evaluation, "DECODE_GROUP", 4)
     report = evaluate(mp, cfg, samples, root, vocab)
     seen_imgs = [i for call in image_calls for i in call]
     seen_ids = [t for call in text_calls for t in call]
@@ -195,9 +202,9 @@ def test_evaluate_encodes_each_distinct_image_and_question_once_per_split(setup,
     assert len(image_calls) == len(text_calls) == 1 and {len(t) for t in seen_ids} == {cfg.max_text_len}
     lengths = [_question_len(q, cfg, vocab) for q in questions]
     assert text_widths == [max(lengths)] and max(lengths) < cfg.max_text_len
-    # one fusion pass per chunk, cut after the chunk's longest question
-    chunk_widths = [max(lengths[lo : lo + 4]) for lo in range(0, len(samples), 4)]
-    assert fuse_widths == chunk_widths and len(set(chunk_widths)) >= 2
+    # one fusion pass per decode group, cut after the group's longest question
+    group_widths = [max(lengths[lo : lo + 4]) for lo in range(0, len(samples), 4)]
+    assert fuse_widths == group_widths and len(set(group_widths)) >= 2
     assert [p["prediction"] for p in report.predictions] == [detokenize(a, vocab) for a in single]
 
 
@@ -219,11 +226,16 @@ def _record_greedy_loops(monkeypatch):
 
 
 def _per_question(loops):
-    """Each question's step logits as bytes, from loops over consecutive questions."""
-    return [[step[r].tobytes() for step in loop] for loop in loops for r in range(len(loop[0]))]
+    """Each question's step logits, from loops over consecutive questions."""
+    return [[step[r] for step in loop] for loop in loops for r in range(len(loop[0]))]
 
 
-@pytest.mark.parametrize("group, loop_rows", [(8, [8, 4]), (3, [4, 4, 4])], ids=["two chunks", "below a chunk"])
+def _close(a, ref):
+    """a equals ref up to the last bits: within 1e-12 of ref's largest magnitude."""
+    return a.shape == ref.shape and np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("group, loop_rows", [(8, [8, 4]), (3, [3, 3, 3, 3])], ids=["two chunks", "below a chunk"])
 def test_evaluate_decodes_groups_of_chunks_like_each_chunk_alone(setup, monkeypatch, group, loop_rows):
     root, samples, cfg, _, vocab = setup
     # shortest questions first, so that the chunks differ in their longest one
@@ -247,11 +259,15 @@ def test_evaluate_decodes_groups_of_chunks_like_each_chunk_alone(setup, monkeypa
     loops.clear()
     monkeypatch.setattr(evaluation, "DECODE_GROUP", group)
     report = evaluate(mp, cfg, samples, root, vocab)
-    # one cache-creating call per group of whole chunks, the last one partial
+    # one cache-creating call per DECODE_GROUP questions, the last one partial
     assert [len(loop[0]) for loop in loops] == loop_rows
     grouped = _per_question(loops)
-    # a question may decode on beside its group; the steps its chunk ran are bitwise the same
-    assert all(g[: len(c)] == c for g, c in zip(grouped, per_chunk, strict=True))
+    # each loop runs every step its questions need, up to EOS, and may run on
+    # beside its other questions; the steps both loops ran agree up to the
+    # last bits, as each is cut after its own longest question
+    needed = [min(len(a) + 1, cfg.max_answer_len - 1) for a in single]
+    assert all(min(len(g), len(c)) >= n for g, c, n in zip(grouped, per_chunk, needed, strict=True))
+    assert all(_close(a, ref) for g, c in zip(grouped, per_chunk) for a, ref in zip(g, c))
     assert [p["prediction"] for p in report.predictions] == [detokenize(a, vocab) for a in single]
 
 
@@ -297,7 +313,7 @@ def test_decode_cache_projects_cross_attention_only_up_to_the_batch_width(setup)
     fused, ids = evaluation._fuse_batch(mp, imgs, questions, vocab)
     width = max(_question_len(q, cfg, vocab) for q in questions)
     assert width < cfg.max_text_len and fused.shape[1] == width and ids.shape[1] == cfg.max_text_len
-    # the control: the same rows padded to max_text_len, every slot projected
+    # the control: the same rows padded to max_text_len with zero rows, every slot projected
     padded = Tensor(np.pad(fused.data, ((0, 0), (0, cfg.max_text_len - width), (0, 0))))
     prefix = np.concatenate(
         [np.full((len(ids), 1), BOS), np.random.default_rng(3).integers(0, len(vocab), (len(ids), cfg.max_answer_len - 1))],
@@ -309,18 +325,19 @@ def test_decode_cache_projects_cross_attention_only_up_to_the_batch_width(setup)
         with no_grad():
             return cache, [decode_answer(mp, fused, ids, prefix[:, : t + 1], cache=cache).data for t in range(prefix.shape[1])]
 
-    _, full = cached_logits(padded, ids)
+    full_cache, full = cached_logits(padded, ids)
     cache, cut = cached_logits(fused, ids)
     # keys and values are projected from the CLS slot and the rows up to the
-    # width; the cache keeps them at 1 + max_text_len slots, zero past the width
+    # width, and cached at 1 + width slots
     assert cache["memory"][0].shape == (len(ids), 1 + width, cfg.dim)
     for i in range(cfg.depth_ans_dec):
-        for t in cache[f"ans_dec.{i}.xattn"]:
-            assert t.shape == (len(ids), 1 + cfg.max_text_len, cfg.dim) and not t.data[:, 1 + width :].any()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(cut, full))
+        for t, control in zip(cache[f"ans_dec.{i}.xattn"], full_cache[f"ans_dec.{i}.xattn"]):
+            assert t.shape == (len(ids), 1 + width, cfg.dim)
+            assert control.shape == (len(ids), 1 + cfg.max_text_len, cfg.dim)
+    # the control's slots past the width are masked, so the logits agree up to the last bits
+    assert all(_close(a, b) for a, b in zip(cut, full, strict=True))
     with no_grad():
-        forced = decode_answer(mp, fused, ids, prefix).data
-        assert forced.tobytes() == decode_answer(mp, padded, ids, prefix).data.tobytes()
+        assert _close(decode_answer(mp, fused, ids, prefix).data, decode_answer(mp, padded, ids, prefix).data)
     answers = generate_answers(mp, imgs, questions, vocab)
     assert answers == [generate_answer(mp, cfg, img, q, vocab) for img, q in zip(imgs, questions)]
 
@@ -373,23 +390,23 @@ def test_fuse_batch_encodes_each_distinct_input_once(setup, monkeypatch):
     # text and fusion run on the columns up to the longest question; the ids are as tokenized
     assert all(c.shape == (5, cfg.heads, max(lengths), 1 + n) for c in capture)
     assert fused.shape == (5, max(lengths), cfg.dim) and ids.shape == (5, cfg.max_text_len)
-    # the non-PAD rows; a batch of one is cut after its own question
+    # the non-PAD rows, up to the last bits; a batch of one is cut after its own question
     for i, (f, row_ids, caps) in enumerate(singles):
         w = lengths[i]
-        assert np.array_equal(fused.data[i, :w], f[:w]) and np.array_equal(ids[i], row_ids)
+        assert f.shape[0] == w and _close(fused.data[i, :w], f) and np.array_equal(ids[i], row_ids)
         assert (ids[i, w:] == PAD).all()
-        assert all(np.array_equal(c.data[i, :, :w], one[:, :w]) for c, one in zip(capture, caps))
+        assert all(_close(c.data[i, :, :w], one) for c, one in zip(capture, caps))
 
 
 def test_fuse_batch_matches_full_width_ids_for_a_question_of_cls_alone(setup, monkeypatch):
     root, samples, cfg, mp, vocab = setup
     img = load_image(root / samples[0].image, channels=1)
     fused, ids = evaluation._fuse_batch(mp, [img], [""], vocab)
-    assert (ids[0] != PAD).sum() == 1 and fused.shape[1] == 2
+    assert (ids[0] != PAD).sum() == 1 and fused.shape[1] == 1
     # the reference runs text and fusion on all max_text_len columns
     monkeypatch.setattr(model, "text_width", lambda ids: ids.shape[1])
     full = fuse(mp, encode_text(mp, ids), encode_full_images(mp, [img]), ids)
-    assert full.shape[1] == cfg.max_text_len and np.array_equal(fused.data[0, 0], full.data[0, 0])
+    assert full.shape[1] == cfg.max_text_len and _close(fused.data[0, 0], full.data[0, 0])
 
 
 def test_evaluate_records_no_tape(setup, monkeypatch):

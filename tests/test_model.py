@@ -193,8 +193,16 @@ class TestEncodeText:
         with pytest.raises(ShapeError, match=r"\(0, 8\)"):
             encode_text(mp, np.zeros((0, 8), dtype=np.int64))
 
-    def test_rows_of_pad_alone_run_at_two_columns(self, mp):
-        assert encode_text(mp, np.full((2, 8), PAD)).shape == (2, 2, 16)
+    def test_rows_of_pad_alone_run_at_one_column(self, mp):
+        assert encode_text(mp, np.full((2, 8), PAD)).shape == (2, 1, 16)
+
+    def test_ids_wider_than_max_text_len_raise_shape_error(self, mp):
+        ids = rand_ids(1, 9)
+        with pytest.raises(ShapeError, match=r"L <= 8"):
+            encode_text(mp, ids)
+        ids[0, 5:] = PAD
+        with pytest.raises(ShapeError, match=r"L <= 8"):
+            encode_text(mp, ids)
 
     def test_id_out_of_vocab(self, mp):
         ids = rand_ids(1, 4)
@@ -243,8 +251,10 @@ class TestFuse:
 
 
 @pytest.mark.parametrize("case", ["mixed lengths", "one without PAD"])
-def test_ids_cut_after_the_longest_question_give_the_full_width_rows_bitwise(case, monkeypatch):
-    # self-attention keeps max_text_len key slots, zero past the cut and masked
+def test_ids_cut_after_the_longest_question_give_the_full_width_rows(case, monkeypatch):
+    # self-attention scores only the keys up to the cut; at full width the
+    # keys past it are masked, with probability exactly 0, so a row's softmax
+    # and probs @ v sum the same terms, grouped as the width groups them
     mp = ModelParams(tiny_cfg(depth_txt_enc=2, depth_fusion=2), np.random.default_rng(1))
     ids = rand_ids(3, 8)
     ids[0, 3:] = ids[1, 5:] = PAD
@@ -268,7 +278,7 @@ def test_ids_cut_after_the_longest_question_give_the_full_width_rows_bitwise(cas
     assert len(full) == 4 and all(a.shape[1] == 8 and c.shape[1] == width for a, c in zip(full, cut))
     for a, c in zip(full, cut):
         for i, n in enumerate(lengths):
-            assert np.array_equal(a[i, :n], c[i, :n])
+            assert np.abs(a[i, :n] - c[i, :n]).max() <= 1e-12 * np.abs(a[i, :n]).max()
 
 
 @pytest.mark.parametrize("given", ["max_text_len", "in between", "batch width"])
@@ -301,34 +311,20 @@ def test_the_forwards_run_at_the_batch_width_of_the_ids_they_are_given(ft_mp, gi
         decode_answer(ft_mp, fused, given_ids[:, :4], prefix)
 
 
-def test_attention_rejects_a_key_slot_some_row_leaves_unmasked(mp):
-    x = Tensor(RNG.normal(size=(2, 3, 16)))
-    bias = pad_bias(rand_ids(2, 3), 5)
-    assert (bias[..., 3:] == NEG_BIAS).all()
-    model.attention(x, mp.params, "txt_enc.0.attn", 2, bias=bias)
-    bias[1, ..., 4] = 0.0
-    with pytest.raises(ContractError, match="not masked"):
-        model.attention(x, mp.params, "txt_enc.0.attn", 2, bias=bias)
-    with pytest.raises(ShapeError):
-        encode_text(mp, rand_ids(1, 9))
-
-
-def test_cross_attention_caches_zero_keys_and_values_for_masked_slots_past_its_memory(mp):
+def test_cross_attention_caches_the_keys_and_values_of_its_memory(mp):
     x, memory = Tensor(RNG.normal(size=(2, 3, 16))), Tensor(RNG.normal(size=(2, 4, 16)))
-    bias = pad_bias(rand_ids(2, 4), 6)
+    ids = rand_ids(2, 4)
+    ids[1, 2:] = PAD
+    bias = pad_bias(ids)
+    assert bias.shape == (2, 1, 1, 4) and (bias[1, ..., 2:] == NEG_BIAS).all() and not bias[0].any()
     cache = {}
     first = model.attention(x, mp.params, "fusion.0.xattn", 2, bias=bias, kv=memory, cache=cache)
     k, v = cache["fusion.0.xattn"]
-    assert k.shape == v.shape == (2, 6, 16) and not k.data[:, 4:].any() and not v.data[:, 4:].any()
-    again = model.attention(x, mp.params, "fusion.0.xattn", 2, bias=bias, kv=memory, cache=cache)
+    assert k.shape == v.shape == (2, 4, 16)
+    # a later call reads the cached projections, not its memory
+    again = model.attention(x, mp.params, "fusion.0.xattn", 2, bias=bias, kv=Tensor(np.zeros((2, 4, 16))), cache=cache)
     uncached = model.attention(x, mp.params, "fusion.0.xattn", 2, bias=bias, kv=memory)
     assert first.data.tobytes() == again.data.tobytes() == uncached.data.tobytes()
-    bias[0, ..., 5] = 0.0
-    with pytest.raises(ContractError, match="not masked"):
-        model.attention(x, mp.params, "fusion.0.xattn", 2, bias=bias, kv=memory)
-    # a cached self-attention appends positions, so it cannot keep zero slots
-    with pytest.raises(ContractError, match="a key slot per position"):
-        model.attention(x, mp.params, "txt_enc.0.attn", 2, bias=pad_bias(rand_ids(2, 3), 5), cache={})
 
 
 class TestDecodeAnswer:
@@ -520,7 +516,7 @@ def test_fused_op_matches_its_composite_chain_bitwise(case):
                 src = leaf(b, S, d)
                 ids = rng.integers(7, 30, size=(b, S))
                 ids[0, 4:] = ids[2, 6:] = PAD
-                bias = pad_bias(ids, S)
+                bias = pad_bias(ids)
             else:
                 src = x
                 bias = np.where(np.tril(np.ones((L, L))) > 0, 0.0, NEG_BIAS)[None, None]
@@ -553,7 +549,8 @@ def test_attention_records_only_projections_and_the_attention_op(mp, capture):
     x = Tensor(np.random.default_rng(0).normal(size=(2, 5, mp.cfg.dim)))
     out = model.attention(x, mp.params, "txt_enc.0.attn", mp.cfg.heads, capture=capture)
     core = ["scaled_dot_product_attention"] * (1 if capture is None else 2)
-    assert _tape(out) == sorted(["linear"] * 4 + core)
+    # keys are projected without a bias
+    assert _tape(out) == sorted(["linear"] * 3 + ["Tensor.matmul"] + core)
 
 
 def _training_outputs(mp, ft_mp):

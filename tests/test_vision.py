@@ -96,6 +96,13 @@ class TestImageIO:
         assert img.channels == 3
         assert (img.pixels[0, 0] == img.pixels[0, 0, 0]).all()
 
+    def test_color_image_read_as_grayscale_raises_data_error(self, tmp_path):
+        p = tmp_path / "t.ppm"
+        p.write_bytes(b"P6\n1 2\n255\n" + bytes(6))
+        assert load_image(p, channels=3).channels == 3
+        with pytest.raises(DataError, match=r"t\.ppm holds 3 channels, but 1 are expected"):
+            load_image(p, channels=1)
+
 
 class TestAugment:
     def test_eval_mode_is_center_crop(self):

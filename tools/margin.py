@@ -8,7 +8,8 @@ sorted-name order, by 1 + 1e-13 * N(0, 1) drawn from default_rng(c); chain 0
 is unperturbed. Each chain runs criterion 4's finetune (the desk preset at
 its seed, overrides and epochs, on the 16 QA pairs of its fixture) from that
 checkpoint, evaluates it as the gate does (pass: acc >= 0.95), and prints one
-JSON line: chain, acc, final_loss, finetune_s.
+JSON line: chain, acc, passed, final_loss, finetune_s. A last line counts the
+chains that passed: {"passed": k, "chains": n}.
 
 It takes minutes, so it is not part of the test suite. The BLAS thread count
 is the environment's; set it before the run:
@@ -36,6 +37,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 import test_acceptance as gate  # noqa: E402
 
 PERTURB = 1e-13
+PASS_ACC = 0.95  # criterion 4's gate: greedy exact-match on the 16 QA pairs
 
 
 def perturbed(ckpt_path: str, chain: int, out_path: str) -> None:
@@ -65,7 +67,7 @@ def run_chain(pre_ckpt: str, chain: int, vroot: str, vsamples: list, work: str) 
     acc = evaluate(mp, ck.config, vsamples, vroot, ck.vocab).overall_acc
     with open(os.path.join(out, "metrics.jsonl"), encoding="utf-8") as f:
         final_loss = json.loads(f.readlines()[-1])["loss"]
-    return {"chain": chain, "acc": acc, "final_loss": final_loss, "finetune_s": round(finetune_s, 2)}
+    return {"chain": chain, "acc": acc, "passed": acc >= PASS_ACC, "final_loss": final_loss, "finetune_s": round(finetune_s, 2)}
 
 
 def main(argv=None) -> int:
@@ -80,8 +82,12 @@ def main(argv=None) -> int:
         vsamples = generate_vqa(16, 7, vroot)
         cfg = preset("desk", seed=gate.OVERFIT_SEED, epochs=gate.OVERFIT_EPOCHS, **gate.OVERFIT_OVERRIDES)
         pre_ckpt = pretrain(cfg, captions, croot, os.path.join(work, "overfit"))
+        passed = 0
         for chain in range(args.chains):
-            print(json.dumps(run_chain(pre_ckpt, chain, vroot, vsamples, work)), flush=True)
+            result = run_chain(pre_ckpt, chain, vroot, vsamples, work)
+            passed += result["passed"]
+            print(json.dumps(result), flush=True)
+    print(json.dumps({"passed": passed, "chains": args.chains}), flush=True)
     return 0
 
 

@@ -88,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("finetune", help="finetune for generative VQA")
     _add_common(p)
     p.add_argument("--data", required=True, help="VQA dataset directory")
-    p.add_argument("--init", help="pretrain checkpoint to initialize from")
-    p.add_argument("--from-scratch", action="store_true", help="ablation: random init")
+    init = p.add_mutually_exclusive_group()
+    init.add_argument("--init", help="pretrain checkpoint to initialize from")
+    init.add_argument("--from-scratch", action="store_true", help="ablation: random init")
     p.add_argument("--resume", help="checkpoint to resume from")
 
     p = sub.add_parser("eval", help="accuracy report on a VQA dataset")
@@ -136,10 +137,9 @@ def run(args) -> int:
 
     if args.command == "finetune":
         cfg = resolve_config(args)
-        init = None if args.from_scratch else args.init
         path = finetune(
             cfg, load_vqa(args.data), args.data, args.out,
-            init_checkpoint=init, resume_from=args.resume,
+            init_checkpoint=args.init, resume_from=args.resume,
         )
         print(f"checkpoint: {path}")
         return 0

@@ -13,16 +13,16 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import ConfigError, ContractError
-from .model import ModelParams, decode_answer, distinct, encode_full_images, encode_text, fuse
+from .model import Encoded, ModelParams, decode_answer, encode_pairs, fuse_pairs
 from .synth import VqaSample
 from .tensor import Tensor, cross_entropy, no_grad
 from .text import BOS, EOS, Vocab, detokenize, normalize, tokenize
 from .vision import Image, load_image, write_image
 
-# questions evaluate fuses in one call and decodes in one cached greedy loop.
-# A decoder step has a fixed cost that wider steps share, and each question's
-# cache holds 2 * depth_ans_dec * (1 + W) * dim floats, W the group's longest
-# question, which bounds the group
+# questions generate_answers fuses in one call and decodes in one cached greedy
+# loop. A decoder step has a fixed cost that wider steps share, and each
+# question's cache holds 2 * depth_ans_dec * (1 + W) * dim floats, W the
+# group's longest question, which bounds the group
 DECODE_GROUP = 48
 
 
@@ -62,51 +62,12 @@ class EvalReport:
         )
 
 
-@dataclass
-class _Encoded:
-    """The encode stage of one call: each distinct image and question among
-    its items encoded once, and each item's row among them."""
-
-    images: Tensor  # [distinct images, 1+N, dim]
-    text: Tensor  # [distinct questions, W, dim], cut after the longest question
-    ids: np.ndarray  # [distinct questions, max_text_len]
-    img_rows: np.ndarray  # [items], each item's row of images
-    q_rows: np.ndarray  # [items], each item's row of text and ids
-
-
-def _encode(mp: ModelParams, images: list[Image], questions: list[str], vocab: Vocab) -> _Encoded:
-    """Encode stage: the distinct Image objects go through the image encoder
-    in one call, and the distinct questions through the text encoder in
-    another."""
-    uniq_imgs, img_rows = distinct(images, key=id)
-    uniq_qs, q_rows = distinct(questions)
-    ids = np.stack([tokenize(q, vocab, mp.cfg.max_text_len) for q in uniq_qs])
-    return _Encoded(encode_full_images(mp, uniq_imgs), encode_text(mp, ids), ids, img_rows, q_rows)
-
-
-def _fuse(mp: ModelParams, enc: _Encoded, items: slice, capture: list | None = None):
-    """Fuse stage: fused features [b, W, dim] of an encoded call's items, in
-    their order, cut after the items' longest question (see fuse; so a
-    captured map is [b, heads, W, S]), and their token ids [b, max_text_len].
-
-    The items' rows are gathered from the encode stage. Rows never mix, so a
-    non-PAD row agrees with the one a batch of one gives up to the last bits
-    (see encode_text).
-    """
-    q_rows = enc.q_rows[items]
-    ids = enc.ids[q_rows]
-    return fuse(mp, enc.text[q_rows], enc.images[enc.img_rows[items]], ids, capture=capture), ids
-
-
-def _fuse_batch(
-    mp: ModelParams,
-    images: list[Image],
-    questions: list[str],
-    vocab: Vocab,
-    capture: list | None = None,
-):
-    """Both stages over one batch: its fused features and token ids (see _fuse)."""
-    return _fuse(mp, _encode(mp, images, questions, vocab), slice(None), capture=capture)
+def _encode(mp: ModelParams, images: list[Image], questions: list[str], vocab: Vocab) -> Encoded:
+    """The encode stage of (image, question) pairs: every question
+    tokenized, then each distinct image and id row encoded once (see
+    encode_pairs)."""
+    ids = np.stack([tokenize(q, vocab, mp.cfg.max_text_len) for q in questions])
+    return encode_pairs(mp, images, ids)
 
 
 def fuse_question(
@@ -117,10 +78,10 @@ def fuse_question(
     vocab: Vocab,
     capture: list | None = None,
 ):
-    """One question's fused features, ids and the patch grid, from both
-    stages (see _encode and _fuse) with the tape on unless no_grad is in
-    force; lengths come from mp.cfg, cfg is kept for existing callers."""
-    fused, ids = _fuse_batch(mp, [img], [question], vocab, capture=capture)
+    """One question's fused features, ids and the patch grid (see _encode
+    and fuse_pairs), with the tape on unless no_grad is in force; lengths
+    come from mp.cfg, cfg is kept for existing callers."""
+    fused, ids = fuse_pairs(mp, _encode(mp, [img], [question], vocab), capture=capture)
     return fused, ids, mp.cfg.grid
 
 
@@ -131,21 +92,26 @@ def generate_answers(
     vocab: Vocab,
 ) -> list[list[int]]:
     """Greedy decoding from BOS for a batch of (image, question) pairs, with
-    no tape: the encode and fuse stages over the batch (each distinct image
-    and question encoded once, see _encode and _fuse), then the cached
-    greedy loop (see _greedy). An empty batch gives []; images and
+    no tape. Each distinct image and question is encoded once (see
+    _encode); then each DECODE_GROUP slice of pairs is fused in one call,
+    cut after its longest question (see fuse_pairs), and decoded by one
+    cached greedy loop (see _greedy). An empty batch gives []; images and
     questions of different lengths raise ContractError.
     """
     if len(images) != len(questions):
         raise ContractError(f"{len(images)} images for {len(questions)} questions")
+    answers: list[list[int]] = []
     if not questions:
-        return []
+        return answers
     with no_grad():
-        return _greedy(mp, *_fuse_batch(mp, images, questions, vocab), vocab)
+        enc = _encode(mp, images, questions, vocab)
+        for lo in range(0, len(questions), DECODE_GROUP):
+            answers += _greedy(mp, *fuse_pairs(mp, enc, slice(lo, lo + DECODE_GROUP)), vocab)
+    return answers
 
 
 def _greedy(mp: ModelParams, fused: Tensor, ids: np.ndarray, vocab: Vocab) -> list[list[int]]:
-    """Greedy answers of fused features and ids (see _fuse), one
+    """Greedy answers of fused features and ids (see fuse_pairs), one
     decoder step per token; run under no_grad.
 
     The steps share a decode cache: the fused memory's cross-attention keys
@@ -198,14 +164,11 @@ def evaluate(
     vocab: Vocab,
     answer_type_filter: str = "all",  # all | free (freeform question_form only)
 ) -> EvalReport:
-    """Exact-match accuracy after normalization, split by answer type.
-
-    The split's distinct images and questions are encoded once, with no
-    tape, in one call per encoder (see _encode). Each DECODE_GROUP slice of
-    questions is then fused in one call, cut after its longest question
-    (see _fuse), and decoded by one cached greedy loop (see _greedy).
-    Predictions equal per-question generate_answer calls, except where a
-    step's two best logits tie to the last bits.
+    """Exact-match accuracy after normalization, split by answer type, of
+    the split's greedy answers (see generate_answers). Predictions equal
+    per-question generate_answer calls, except where a step's two best
+    logits tie to the last bits. Image channels come from mp.cfg; cfg is
+    kept for existing callers.
     """
     if answer_type_filter not in ("all", "free"):
         raise ConfigError(f"unknown answer_type_filter {answer_type_filter!r}; choose 'all' or 'free'")
@@ -214,14 +177,10 @@ def evaluate(
     if not samples:
         raise ConfigError("no samples left after filtering")
     images = {
-        name: load_image(os.path.join(data_root, name), channels=cfg.channels)
+        name: load_image(os.path.join(data_root, name), channels=mp.cfg.channels)
         for name in {s.image for s in samples}
     }
-    answers: list[list[int]] = []
-    with no_grad():
-        enc = _encode(mp, [images[s.image] for s in samples], [s.question for s in samples], vocab)
-        for lo in range(0, len(samples), DECODE_GROUP):
-            answers += _greedy(mp, *_fuse(mp, enc, slice(lo, lo + DECODE_GROUP)), vocab)
+    answers = generate_answers(mp, [images[s.image] for s in samples], [s.question for s in samples], vocab)
     report = EvalReport()
     for s, toks in zip(samples, answers):
         pred = detokenize(toks, vocab)
@@ -273,7 +232,7 @@ def attention_map(
         enc = _encode(mp, [img], [question], vocab)
     enc.text = Tensor(enc.text.data, requires_grad=grad_weighted)
     frozen, capture = mp.frozen(), []
-    fused, ids = _fuse(frozen, enc, slice(None), capture=capture)
+    fused, ids = fuse_pairs(frozen, enc, capture=capture)
     if not -len(capture) <= layer < len(capture):
         raise IndexError(f"fusion layer {layer} out of range for depth {len(capture)}")
     attn = capture[layer]  # [1, heads, L, 1+N]

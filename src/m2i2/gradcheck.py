@@ -4,7 +4,8 @@ Central differences (eps=1e-5, float64) against the tape gradients. Op checks
 run on random probe inputs in [-2, 2], at tolerance 1e-4. Loss checks run the
 training forwards themselves (trainer.pretrain_losses and
 trainer.vqa_forward_loss) on a two-sample batch, and probe a few entries of
-parameters from the heads down to the embeddings, at tolerance 1e-3.
+parameters from the heads down to the embeddings, every attention query and
+key projection among them, at tolerance 1e-3.
 """
 
 from __future__ import annotations
@@ -160,14 +161,23 @@ def loss_checks(rng: np.random.Generator) -> list[tuple[str, float, float]]:
         # one seed, so every evaluation pairs the same mismatched captions for ITM
         return lambda: pretrain_losses(pre, cfg, batch, queue, np.random.default_rng(0))[0][name]
 
+    def qk(*blocks):
+        return [f"{block}.{w}" for block in blocks for w in ("wq", "wk")]
+
+    # every attention block's query and key projections are probed; the image
+    # encoder's and fusion's on ITC and ITM, as cond_lm reads their gradients
+    # at 2e-3 to 6e-3 relative error at init
     suites = [
-        ("loss/mim", pre, pretrain_loss("mim"), ["img_dec.0.attn.wq", "mim.w", "img_mask_tok", "patch_embed.w"]),
+        ("loss/mim", pre, pretrain_loss("mim"), [*qk("img_dec.0.attn"), "mim.w", "img_mask_tok", "patch_embed.w"]),
         ("loss/mlm", pre, pretrain_loss("mlm"), ["mlm.w", "fusion.0.xattn.wv", "txt_enc.0.mlp.w1", "tok_embed"]),
-        ("loss/itm", pre, pretrain_loss("itm"), ["itm.w", "fusion.0.attn.wo", "img_enc.0.ln1.g"]),
-        ("loss/itc", pre, pretrain_loss("itc"), ["itc_img.w", "itc_txt.w", "itc.log_temp", "txt_enc.0.attn.wq"]),
+        (
+            "loss/itm", pre, pretrain_loss("itm"),
+            ["itm.w", "fusion.0.attn.wo", *qk("fusion.0.attn", "fusion.0.xattn"), "img_enc.0.ln1.g"],
+        ),
+        ("loss/itc", pre, pretrain_loss("itc"), ["itc_img.w", "itc_txt.w", "itc.log_temp", *qk("txt_enc.0.attn", "img_enc.0.attn")]),
         (
             "loss/cond_lm", ft, lambda: vqa_forward_loss(ft, images, ids, answers, vocab),
-            ["ans_head.w", "ans_dec.0.xattn.wk", "ans_pos", "fusion.0.mlp.w2"],
+            ["ans_head.w", *qk("ans_dec.0.attn", "ans_dec.0.xattn"), "ans_pos", "fusion.0.mlp.w2"],
         ),
     ]
     return [

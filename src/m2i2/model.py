@@ -3,8 +3,9 @@
 Sub-networks: image encoder, text encoder, multimodal fusion encoder
 (text-stream self-attention + cross-attention to image features), image
 reconstruction decoder, and the causal answer decoder. Plus the projection /
-prediction heads and positional-embedding interpolation for resolution
-changes.
+prediction heads, positional-embedding interpolation for resolution changes,
+and the encode and fuse stages every VQA forward shares (encode_pairs,
+fuse_pairs).
 
 A model holds only what its run trains: the encoders and the fusion encoder,
 the tensors of each pretraining objective that runs or of finetuning (OWNED),
@@ -16,6 +17,8 @@ the decode cache a caller may pass to decode_answer.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -341,11 +344,9 @@ def text_width(ids: np.ndarray) -> int:
     return 1 + np.flatnonzero((ids != PAD).any(axis=0)).max(initial=0)
 
 
-def distinct(items, key=lambda x: x) -> tuple[list, np.ndarray]:
+def _distinct(items, key=lambda x: x) -> tuple[list, np.ndarray]:
     """The distinct items by key in first-seen order, and each item's row
-    among them; a caller encodes each distinct input once and gathers its
-    rows back into item order. Encoder rows never mix, so the gathered rows
-    are bitwise those of encoding every item."""
+    among them."""
     rows: dict = {}
     for x in items:
         rows.setdefault(key(x), (len(rows), x))
@@ -404,6 +405,39 @@ def fuse(
         memory=image_features,
         capture=capture,
     )
+
+
+@dataclass
+class Encoded:
+    """The encode stage of a batch of (image, question) pairs: each distinct
+    image and question among them encoded once, and each pair's rows."""
+
+    images: Tensor  # [distinct images, 1+N, dim]
+    text: Tensor  # [distinct questions, W, dim], cut after the longest question
+    ids: np.ndarray  # [distinct questions, L], as tokenize makes them
+    img_rows: np.ndarray  # [pairs], each pair's row of images
+    q_rows: np.ndarray  # [pairs], each pair's row of text and ids
+
+
+def encode_pairs(mp: ModelParams, images: list[Image], ids: np.ndarray) -> Encoded:
+    """The VQA encode stage: the distinct Image objects (by identity) through
+    the image encoder in one call, the distinct rows of ids [b, L] through the
+    text encoder in another. Rows never mix, so a pair's rows are bitwise those
+    of encoding every pair; backward sums a repeated input's row gradients."""
+    uniq_imgs, img_rows = _distinct(images, key=id)
+    uniq_ids, q_rows = _distinct(ids, key=lambda row: row.tobytes())
+    uniq_ids = np.stack(uniq_ids)
+    return Encoded(encode_full_images(mp, uniq_imgs), encode_text(mp, uniq_ids), uniq_ids, img_rows, q_rows)
+
+
+def fuse_pairs(mp: ModelParams, enc: Encoded, items=slice(None), capture: list | None = None) -> tuple[Tensor, np.ndarray]:
+    """The VQA fuse stage: fused features [b, W, dim] of the items pairs of
+    enc, in their order, cut after their longest question (see fuse; a
+    captured map is [b, heads, W, S]), and their ids [b, L]. A non-PAD row
+    agrees with a batch of one's up to the last bits (see encode_text)."""
+    q_rows = enc.q_rows[items]
+    ids = enc.ids[q_rows]
+    return fuse(mp, enc.text[q_rows], enc.images[enc.img_rows[items]], ids, capture=capture), ids
 
 
 def decode_answer(

@@ -211,3 +211,11 @@ def test_finetune_from_scratch(pipeline, tmp_path):
         "--data", str(vqa), "--from-scratch", "--out", str(out),
     ) == 0
     assert (out / "checkpoint.bin").exists()
+
+
+def test_finetune_init_and_from_scratch_are_exclusive(tmp_path, capsys):
+    # --from-scratch used to drop --init without a word
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("finetune", "--data", str(tmp_path), "--init", "ckpt.bin", "--from-scratch", "--out", str(tmp_path / "out"))
+    assert exit_.value.code != 0 and "not allowed with" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -15,7 +15,7 @@ from m2i2.evaluation import (
     write_report,
 )
 from m2i2.errors import ConfigError, ContractError
-from m2i2.model import ModelParams, decode_answer, encode_full_images, encode_text, fuse
+from m2i2.model import ModelParams, decode_answer, encode_full_images, encode_text, fuse, fuse_pairs
 from m2i2.synth import generate_vqa
 from m2i2.tensor import Tensor, cross_entropy, no_grad
 from m2i2.text import BOS, EOS, PAD, build_vocab, detokenize, tokenize
@@ -172,7 +172,6 @@ def test_evaluate_encodes_each_distinct_image_and_question_once_per_split(setup,
     assert 0 in {len(a) for a in single} and len({len(a) for a in single}) >= 2
 
     image_calls, text_calls, text_widths, fuse_widths = [], [], [], []
-    encode_full_images, encode_text = evaluation.encode_full_images, evaluation.encode_text
 
     def counting_images(mp, images):
         image_calls.append([id(img) for img in images])
@@ -189,9 +188,9 @@ def test_evaluate_encodes_each_distinct_image_and_question_once_per_split(setup,
         fuse_widths.append(out.shape[1])
         return out
 
-    monkeypatch.setattr(evaluation, "encode_full_images", counting_images)
-    monkeypatch.setattr(evaluation, "encode_text", counting_text)
-    monkeypatch.setattr(evaluation, "fuse", recording_fuse)
+    monkeypatch.setattr(model, "encode_full_images", counting_images)
+    monkeypatch.setattr(model, "encode_text", counting_text)
+    monkeypatch.setattr(model, "fuse", recording_fuse)
     monkeypatch.setattr(evaluation, "DECODE_GROUP", 4)
     report = evaluate(mp, cfg, samples, root, vocab)
     seen_imgs = [i for call in image_calls for i in call]
@@ -252,7 +251,7 @@ def test_evaluate_decodes_groups_of_chunks_like_each_chunk_alone(setup, monkeypa
     loops = _record_greedy_loops(monkeypatch)
     with no_grad():
         enc = evaluation._encode(mp, imgs, questions, vocab)
-        chunked = [a for lo in range(0, 12, 4) for a in evaluation._greedy(mp, *evaluation._fuse(mp, enc, slice(lo, lo + 4)), vocab)]
+        chunked = [a for lo in range(0, 12, 4) for a in evaluation._greedy(mp, *fuse_pairs(mp, enc, slice(lo, lo + 4)), vocab)]
     per_chunk = _per_question(loops)
     assert [len(loop[0]) for loop in loops] == [4, 4, 4] and chunked == single
 
@@ -269,6 +268,37 @@ def test_evaluate_decodes_groups_of_chunks_like_each_chunk_alone(setup, monkeypa
     assert all(min(len(g), len(c)) >= n for g, c, n in zip(grouped, per_chunk, needed, strict=True))
     assert all(_close(a, ref) for g, c in zip(grouped, per_chunk) for a, ref in zip(g, c))
     assert [p["prediction"] for p in report.predictions] == [detokenize(a, vocab) for a in single]
+
+
+def test_generate_answers_decodes_at_most_a_decode_group_per_loop(setup, monkeypatch):
+    root, samples, cfg, _, vocab = setup
+    samples = samples[:10]
+    imgs = [load_image(root / s.image, channels=1) for s in samples]
+    questions = [s.question for s in samples]
+    mp = _eos_biased_model(cfg, imgs, questions, vocab)
+    single = [generate_answer(mp, cfg, img, q, vocab) for img, q in zip(imgs, questions)]
+    assert 0 in {len(a) for a in single} and len({len(a) for a in single}) >= 2
+
+    encodes = []
+
+    def count_calls(name):
+        encode = getattr(model, name)
+
+        def counted(mp, inputs):
+            encodes.append(name)
+            return encode(mp, inputs)
+
+        monkeypatch.setattr(model, name, counted)
+
+    count_calls("encode_full_images")
+    count_calls("encode_text")
+    loops = _record_greedy_loops(monkeypatch)
+    monkeypatch.setattr(evaluation, "DECODE_GROUP", 4)
+    answers = generate_answers(mp, imgs, questions, vocab)
+    # the pairs are encoded once, and their decode caches held 4, 4 and 2 questions at a time
+    assert sorted(encodes) == ["encode_full_images", "encode_text"]
+    assert [len(loop[0]) for loop in loops] == [4, 4, 2]
+    assert answers == single
 
 
 def test_generate_answers_of_an_empty_or_uneven_batch(setup):
@@ -310,7 +340,7 @@ def test_decode_cache_projects_cross_attention_only_up_to_the_batch_width(setup)
     imgs = [load_image(root / s.image, channels=1) for s in samples]
     questions = [s.question for s in samples]
     mp = _eos_biased_model(cfg, imgs, questions, vocab)
-    fused, ids = evaluation._fuse_batch(mp, imgs, questions, vocab)
+    fused, ids = fuse_pairs(mp, evaluation._encode(mp, imgs, questions, vocab))
     width = max(_question_len(q, cfg, vocab) for q in questions)
     assert width < cfg.max_text_len and fused.shape[1] == width and ids.shape[1] == cfg.max_text_len
     # the control: the same rows padded to max_text_len with zero rows, every slot projected
@@ -352,7 +382,7 @@ def test_decode_cache_rejects_a_prefix_it_has_seen(setup):
         decode_answer(mp, fused, ids, np.array([[BOS]]), cache=cache)
 
 
-def test_fuse_batch_encodes_each_distinct_input_once(setup, monkeypatch):
+def test_fuse_pairs_encodes_each_distinct_input_once(setup, monkeypatch):
     root, samples, cfg, mp, vocab = setup
     picked = list({s.question: s for s in samples}.values())[:3]
     imgs = [load_image(root / s.image, channels=1) for s in picked]
@@ -367,7 +397,6 @@ def test_fuse_batch_encodes_each_distinct_input_once(setup, monkeypatch):
         singles.append((fused.data[0], ids[0], [c.data[0] for c in capture]))
 
     seen_imgs, seen_ids = [], []
-    encode_full_images, encode_text = evaluation.encode_full_images, evaluation.encode_text
 
     def counting_images(mp, images):
         seen_imgs.extend(images)
@@ -377,10 +406,10 @@ def test_fuse_batch_encodes_each_distinct_input_once(setup, monkeypatch):
         seen_ids.extend(map(tuple, ids))
         return encode_text(mp, ids)
 
-    monkeypatch.setattr(evaluation, "encode_full_images", counting_images)
-    monkeypatch.setattr(evaluation, "encode_text", counting_text)
+    monkeypatch.setattr(model, "encode_full_images", counting_images)
+    monkeypatch.setattr(model, "encode_text", counting_text)
     capture = []
-    fused, ids = evaluation._fuse_batch(mp, batch_imgs, batch_qs, vocab, capture=capture)
+    fused, ids = fuse_pairs(mp, evaluation._encode(mp, batch_imgs, batch_qs, vocab), capture=capture)
     assert [id(img) for img in seen_imgs] == [id(img) for img in imgs]
     assert len(seen_ids) == len(set(seen_ids)) == 3
     n = cfg.model_config().n_patches
@@ -398,10 +427,10 @@ def test_fuse_batch_encodes_each_distinct_input_once(setup, monkeypatch):
         assert all(_close(c.data[i, :, :w], one) for c, one in zip(capture, caps))
 
 
-def test_fuse_batch_matches_full_width_ids_for_a_question_of_cls_alone(setup, monkeypatch):
+def test_fuse_pairs_matches_full_width_ids_for_a_question_of_cls_alone(setup, monkeypatch):
     root, samples, cfg, mp, vocab = setup
     img = load_image(root / samples[0].image, channels=1)
-    fused, ids = evaluation._fuse_batch(mp, [img], [""], vocab)
+    fused, ids = fuse_pairs(mp, evaluation._encode(mp, [img], [""], vocab))
     assert (ids[0] != PAD).sum() == 1 and fused.shape[1] == 1
     # the reference runs text and fusion on all max_text_len columns
     monkeypatch.setattr(model, "text_width", lambda ids: ids.shape[1])

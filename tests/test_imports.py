@@ -117,3 +117,9 @@ def test_only_the_model_decides_the_text_width():
     # the forwards cut their own ids, so callers pass them as tokenize makes them
     readers = {p.name for p in PACKAGE.glob("*.py") if reads_name(p.read_text(encoding="utf-8"), "text_width")}
     assert readers == {"model.py"}
+
+
+def test_only_the_model_runs_the_vqa_encode_stage():
+    # every VQA forward encodes its pairs through model.encode_pairs
+    readers = {p.name for p in PACKAGE.glob("*.py") if reads_name(p.read_text(encoding="utf-8"), "encode_full_images")}
+    assert readers == {"model.py"}

@@ -460,6 +460,23 @@ def test_loss_checks_probe_the_training_forwards(monkeypatch):
             assert fn == "pretrain_losses" and loss is out[0][suite.removeprefix("loss/")]
 
 
+def test_loss_checks_probe_every_attention_query_and_key_projection(monkeypatch):
+    probed = []
+
+    def probe_param_errs(mp, loss_fn, names, rng):
+        probed.extend(names)
+        return 0.0
+
+    monkeypatch.setattr(gradcheck, "probe_param_errs", probe_param_errs)
+    gradcheck.loss_checks(np.random.default_rng(0))
+    # each attention block of each sub-network: ("img_enc", "attn"), ("fusion", "xattn"), ...
+    blocks = {(n.split(".")[0], n.split(".")[2]) for n, _, _ in model._layout(tiny_cfg()) if n.endswith(".wq")}
+    assert {stack for stack, _ in blocks} == {"img_enc", "txt_enc", "fusion", "img_dec", "ans_dec"}
+    for stack, att in sorted(blocks):
+        for w in ("wq", "wk"):
+            assert any(n.startswith(f"{stack}.") and n.endswith(f".{att}.{w}") for n in probed), (stack, att, w)
+
+
 # ---- fused ops against the primitive chains they stand for ----------------
 
 

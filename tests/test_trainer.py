@@ -1031,8 +1031,8 @@ def test_vqa_forward_loss_runs_text_and_fusion_at_the_batch_width(vqa_data, monk
     mp.zero_grads()
 
     widths = []
-    monkeypatch.setattr(trainer, "encode_text", _recording(model.encode_text, widths))
-    monkeypatch.setattr(trainer, "fuse", _recording(model.fuse, widths))
+    monkeypatch.setattr(model, "encode_text", _recording(model.encode_text, widths))
+    monkeypatch.setattr(model, "fuse", _recording(model.fuse, widths))
     loss = trainer.vqa_forward_loss(mp, images, question_ids, answers, vocab)
     assert widths == [("encode_text", width, False), ("fuse", width, False)]
     # the loss keeps every bit; attention scores fewer keys and a weight
@@ -1128,7 +1128,7 @@ ENCODER_TENSORS = ("img_enc.", "txt_enc.", "patch_embed", "img_cls", "img_pos", 
 
 
 def _every_row(items, key=None):
-    """model.distinct for a per-row reference: every item its own input."""
+    """model._distinct for a per-row reference: every item its own input."""
     return list(items), np.arange(len(items))
 
 
@@ -1162,7 +1162,7 @@ def test_vqa_forward_loss_encodes_each_distinct_image_and_question_once(vqa_data
     assert n_imgs < len(samples) and n_qs < len(samples)
 
     seen_imgs, seen_ids = [], []
-    encode_full_images, encode_text = trainer.encode_full_images, trainer.encode_text
+    encode_full_images, encode_text = model.encode_full_images, model.encode_text
 
     def recording_images(mp, imgs):
         seen_imgs.append([id(img) for img in imgs])
@@ -1172,8 +1172,8 @@ def test_vqa_forward_loss_encodes_each_distinct_image_and_question_once(vqa_data
         seen_ids.append([row.tobytes() for row in ids])
         return encode_text(mp, ids, use_momentum=use_momentum)
 
-    monkeypatch.setattr(trainer, "encode_full_images", recording_images)
-    monkeypatch.setattr(trainer, "encode_text", recording_text)
+    monkeypatch.setattr(model, "encode_full_images", recording_images)
+    monkeypatch.setattr(model, "encode_text", recording_text)
     trainer.vqa_forward_loss(mp, images, question_ids, answers, vocab).backward()
     # one call per encoder, each distinct input once, in first-seen order
     assert seen_imgs == [list(dict.fromkeys(id(img) for img in images))] and len(seen_imgs[0]) == n_imgs
@@ -1187,7 +1187,7 @@ def test_vqa_forward_loss_with_repeats_moves_only_encoder_gradients(vqa_data, mo
     vocab = build_vocab([s.question for s in samples] + [s.answer for s in samples], cfg.vocab_size)
     batch = _vqa_batch(root, samples, cfg, vocab)
     with monkeypatch.context() as per_row:
-        per_row.setattr(trainer, "distinct", _every_row)
+        per_row.setattr(model, "_distinct", _every_row)
         ref, ref_grads = _vqa_loss_and_grads(mp, batch, vocab)
     loss, grads = _vqa_loss_and_grads(mp, batch, vocab)
     assert loss.data.tobytes() == ref.data.tobytes()
@@ -1211,7 +1211,7 @@ def test_vqa_forward_loss_without_repeats_keeps_every_gradient_bit(vqa_data, mon
     batch = _vqa_batch(root, samples[:6], cfg, vocab, share_images=False)
     assert len({q.tobytes() for q in batch[1]}) == len(batch[1])
     with monkeypatch.context() as per_row:
-        per_row.setattr(trainer, "distinct", _every_row)
+        per_row.setattr(model, "_distinct", _every_row)
         ref, ref_grads = _vqa_loss_and_grads(mp, batch, vocab)
     loss, grads = _vqa_loss_and_grads(mp, batch, vocab)
     assert loss.data.tobytes() == ref.data.tobytes()

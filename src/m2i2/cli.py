@@ -164,7 +164,7 @@ def run(args) -> int:
     if args.command == "attn":
         seen: set[str] = set()
         count = 0
-        for i, s in enumerate(samples):
+        for s in samples:
             if s.image in seen or count >= args.limit:
                 continue
             seen.add(s.image)

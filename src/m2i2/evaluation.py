@@ -15,7 +15,7 @@ from .config import TrainConfig
 from .errors import ConfigError, ContractError
 from .model import Encoded, ModelParams, decode_answer, encode_pairs, fuse_pairs
 from .synth import VqaSample
-from .tensor import Tensor, cross_entropy, no_grad
+from .tensor import Tensor, cross_entropy
 from .text import BOS, EOS, Vocab, detokenize, normalize, tokenize
 from .vision import Image, load_image, write_image
 
@@ -79,8 +79,8 @@ def fuse_question(
     capture: list | None = None,
 ):
     """One question's fused features, ids and the patch grid (see _encode
-    and fuse_pairs), with the tape on unless no_grad is in force; lengths
-    come from mp.cfg, cfg is kept for existing callers."""
+    and fuse_pairs), taped wherever mp's parameters require a gradient;
+    lengths come from mp.cfg, cfg is kept for existing callers."""
     fused, ids = fuse_pairs(mp, _encode(mp, [img], [question], vocab), capture=capture)
     return fused, ids, mp.cfg.grid
 
@@ -91,28 +91,28 @@ def generate_answers(
     questions: list[str],
     vocab: Vocab,
 ) -> list[list[int]]:
-    """Greedy decoding from BOS for a batch of (image, question) pairs, with
-    no tape. Each distinct image and question is encoded once (see
-    _encode); then each DECODE_GROUP slice of pairs is fused in one call,
-    cut after its longest question (see fuse_pairs), and decoded by one
-    cached greedy loop (see _greedy). An empty batch gives []; images and
-    questions of different lengths raise ContractError.
+    """Greedy decoding from BOS for a batch of (image, question) pairs, on
+    mp.frozen(), so with no tape. Each distinct image and question is
+    encoded once (see _encode); then each DECODE_GROUP slice of pairs is
+    fused in one call, cut after its longest question (see fuse_pairs), and
+    decoded by one cached greedy loop (see _greedy). An empty batch gives
+    []; images and questions of different lengths raise ContractError.
     """
     if len(images) != len(questions):
         raise ContractError(f"{len(images)} images for {len(questions)} questions")
     answers: list[list[int]] = []
     if not questions:
         return answers
-    with no_grad():
-        enc = _encode(mp, images, questions, vocab)
-        for lo in range(0, len(questions), DECODE_GROUP):
-            answers += _greedy(mp, *fuse_pairs(mp, enc, slice(lo, lo + DECODE_GROUP)), vocab)
+    mp = mp.frozen()
+    enc = _encode(mp, images, questions, vocab)
+    for lo in range(0, len(questions), DECODE_GROUP):
+        answers += _greedy(mp, *fuse_pairs(mp, enc, slice(lo, lo + DECODE_GROUP)), vocab)
     return answers
 
 
 def _greedy(mp: ModelParams, fused: Tensor, ids: np.ndarray, vocab: Vocab) -> list[list[int]]:
     """Greedy answers of fused features and ids (see fuse_pairs), one
-    decoder step per token; run under no_grad.
+    decoder step per token, with no tape when mp is a frozen() view.
 
     The steps share a decode cache: the fused memory's cross-attention keys
     and values are projected once, and each step runs only the newest
@@ -222,16 +222,14 @@ def attention_map(
     positive part of its gradient w.r.t. the generated answer's first-token
     log-probability before head reduction.
 
-    The encoders run with no tape. Fusion and the decoder run on
-    mp.frozen(), whose parameters require no gradient, with the encoded
-    text entering fusion as the tape's only leaf: backward then computes
-    only the activation gradients between that leaf and the loss, and
-    leaves no gradient on mp.
+    Everything runs on mp.frozen(), whose parameters require no gradient,
+    so the encoders record no tape and the encoded text enters fusion as
+    the tape's only leaf: backward then computes only the activation
+    gradients between that leaf and the loss, and leaves no gradient on mp.
     """
-    with no_grad():
-        enc = _encode(mp, [img], [question], vocab)
-    enc.text = Tensor(enc.text.data, requires_grad=grad_weighted)
     frozen, capture = mp.frozen(), []
+    enc = _encode(frozen, [img], [question], vocab)
+    enc.text.requires_grad = grad_weighted
     fused, ids = fuse_pairs(frozen, enc, capture=capture)
     if not -len(capture) <= layer < len(capture):
         raise IndexError(f"fusion layer {layer} out of range for depth {len(capture)}")

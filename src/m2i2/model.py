@@ -353,20 +353,24 @@ def _distinct(items, key=lambda x: x) -> tuple[list, np.ndarray]:
     return [x for _, x in rows.values()], np.array([rows[key(x)][0] for x in items], dtype=np.int64)
 
 
+def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
+    if ids.min(initial=0) < 0 or ids.max(initial=0) >= vocab_size:
+        raise IndexError(f"token id outside [0, {vocab_size})")
+
+
 def encode_text(mp: ModelParams, ids: np.ndarray, use_momentum: bool = False) -> Tensor:
     """Text encoder; ids [b, L] with CLS first, PAD tail, L <= max_text_len,
     as tokenize makes them. Runs on the columns up to the longest row (see
     text_width) and returns [b, W, dim]; self-attention scores those W keys,
     so a non-PAD row agrees with the one the full-width ids give, or a batch
     of one gives, up to the last bits. An empty batch, or ids wider than
-    max_text_len, raise ShapeError."""
+    max_text_len, raise ShapeError; an id outside the vocab, IndexError."""
     P = mp.source(use_momentum)
     cfg = mp.cfg
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or not len(ids) or ids.shape[1] > cfg.max_text_len:
         raise ShapeError(f"encode_text needs a nonempty [b, L <= {cfg.max_text_len}] id batch, got shape {ids.shape}")
-    if ids.max(initial=0) >= cfg.vocab_size:
-        raise IndexError(f"token id >= vocab size {cfg.vocab_size}")
+    _check_ids(ids, cfg.vocab_size)
     ids = ids[:, : text_width(ids)]
     bias = pad_bias(ids)
     x = P["tok_embed"][ids] + P["txt_pos"][: ids.shape[1]]
@@ -451,9 +455,9 @@ def decode_answer(
 
     fused_context [b, W, dim] are the fused features of text_ids [b, L],
     W <= L <= max_text_len, as fuse returns them; every id past column W
-    must be PAD. prefix_ids [b, Lp] must start with BOS. Cross-attention
-    memory is the fused CLS, then the fused rows: 1 + W key slots under a
-    mask that hides the PAD ones.
+    must be PAD. prefix_ids [b, Lp], Lp <= max_answer_len, are vocab ids
+    that start with BOS. Cross-attention memory is the fused CLS, then the
+    fused rows: 1 + W key slots under a mask that hides the PAD ones.
 
     Without a cache this is teacher forcing: returns next-token logits for
     every prefix position, [b, Lp, vocab]. With a cache (a dict, empty on
@@ -472,6 +476,9 @@ def decode_answer(
         raise ContractError("answer prefix must be a nonempty [b, Lp] id array")
     if (prefix_ids[:, 0] != BOS).any():
         raise ContractError("answer prefix must start with BOS")
+    if prefix_ids.shape[1] > cfg.max_answer_len:
+        raise ShapeError(f"answer prefix of length {prefix_ids.shape[1]} exceeds max_answer_len {cfg.max_answer_len}")
+    _check_ids(prefix_ids, cfg.vocab_size)
     if cache is None:
         cache = {}
     Lp, seen = prefix_ids.shape[1], cache.get("seen", 0)

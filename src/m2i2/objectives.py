@@ -42,13 +42,13 @@ def pair_negatives(
     b: int,
     rng: np.random.Generator,
     strategy: str = "uniform",
-    itc_sims: np.ndarray | None = None,
-    temperature: float = 0.07,
+    itc_logits: np.ndarray | None = None,
 ) -> np.ndarray:
     """For each image i, pick a caption index j != i from the same batch.
 
     uniform: j uniform over the batch minus i. hard: j drawn proportionally
-    to softmax of ITC similarities (row i of itc_sims) over the batch minus i.
+    to the softmax of ITC logits, the similarities over the ITC temperature
+    (row i of itc_logits), over the batch minus i.
     """
     if b < 2:
         raise ContractError("negative pairing needs batch size >= 2")
@@ -58,9 +58,9 @@ def pair_negatives(
         if strategy == "uniform":
             out[i] = rng.choice(others)
         elif strategy == "hard":
-            if itc_sims is None:
-                raise ContractError("hard negative strategy needs itc_sims")
-            s = itc_sims[i, others] / temperature
+            if itc_logits is None:
+                raise ContractError("hard negative strategy needs itc_logits")
+            s = itc_logits[i, others]
             p = np.exp(s - s.max())
             out[i] = rng.choice(others, p=p / p.sum())
         else:

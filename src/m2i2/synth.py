@@ -115,14 +115,14 @@ def generate_captions(n: int, seed: int, out_dir, image_size: int = 64) -> list[
     return samples
 
 
-def _qa_pairs(shape, pos, size, inten, rng: np.random.Generator) -> list[tuple[str, str, str, str]]:
+def _qa_pairs(shape, pos, rng: np.random.Generator) -> list[tuple[str, str, str, str]]:
     absent = SHAPES[(SHAPES.index(shape) + 1 + int(rng.integers(0, 2))) % 3]
     pairs = [
         (f"is there a {shape} in the image", "yes", "closed", "freeform"),
         (f"is there a {absent} in the image", "no", "closed", "freeform"),
         (f"does the image contain a {shape}", "yes", "closed", "paraphrased"),
         (f"where is the {shape}", pos, "open", "freeform"),
-        (f"what shape is in the image", shape, "open", "freeform"),
+        ("what shape is in the image", shape, "open", "freeform"),
         (f"in which region is the {shape} located", pos, "open", "paraphrased"),
     ]
     return pairs
@@ -134,12 +134,10 @@ def generate_vqa(n: int, seed: int, out_dir, image_size: int = 64) -> list[VqaSa
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     samples: list[VqaSample] = []
     params = _sample_params(rng, (n + 5) // 6 + 1)
-    img_paths: list[str] = []
     for i, (shape, pos, size, inten) in enumerate(params):
         rel = f"images/vqa_{i:05d}.pgm"
         write_image(os.path.join(out_dir, rel), render_shape(shape, pos, size, inten, image_size))
-        img_paths.append(rel)
-        for q, a, typ, form in _qa_pairs(shape, pos, size, inten, rng):
+        for q, a, typ, form in _qa_pairs(shape, pos, rng):
             samples.append(VqaSample(rel, q, a, typ, form))
     samples = samples[:n]
     with open(os.path.join(out_dir, "vqa.jsonl"), "w", encoding="utf-8") as f:

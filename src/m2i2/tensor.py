@@ -17,8 +17,10 @@ raises ContractError.
 
 Everything is float64. Any forward result containing NaN/Inf raises
 NumericsError instead of propagating silently; a fused op also checks the
-values it computes inside its one node. Inside ``no_grad()`` no tape is
-recorded: every result is a parentless constant.
+values it computes inside its one node. An op records a node exactly when
+one of its inputs requires a gradient; otherwise its result is a parentless
+constant. Forward-only work therefore runs on tensors that require none,
+such as a model's ``frozen()`` view.
 
 Besides the primitive ops, three fused ops each record one node for a
 transformer block's hot path: ``linear``, ``scaled_dot_product_attention``
@@ -34,7 +36,6 @@ array passed to a backward closure) in place; rebind it instead.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Iterable, Sequence
 
@@ -43,23 +44,6 @@ import numpy as np
 from .errors import ContractError, NumericsError, ShapeError
 
 GELU_C = math.sqrt(2.0 / math.pi)
-
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Record no tape inside the block; the previous mode returns on exit.
-
-    For forward-only work such as greedy decoding: results still go through
-    the finiteness check, but keep no parents or backward closures alive.
-    """
-    global _grad_enabled
-    prev, _grad_enabled = _grad_enabled, False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -89,7 +73,7 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"], backward) -> "Tensor":
         _finite(data, "operation")
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
         return Tensor(data)
 
@@ -530,7 +514,7 @@ def scaled_dot_product_attention(
         if q.requires_grad:
             _accum(q, merge(np.matmul(gs, kh)), fresh=True)
         if k.requires_grad:
-            # the [b, Lk, d] transpose of qᵀ g, kept d-major: linear's bias sum reads that order
+            # the [b, Lk, d] transpose of qᵀ g, kept d-major: that layout fixes the bits of wk's gradient
             _accum(k, np.matmul(np.swapaxes(qh, -1, -2), gs).reshape(b, d, -1).transpose((0, 2, 1)), fresh=True)
 
     if capture is None:

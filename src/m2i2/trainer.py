@@ -425,10 +425,10 @@ def pretrain_losses(
     if cfg.enable_mlm or cfg.enable_itm:
         txt_in, img_in, ids_in = txt_feats, img_feats, batch.ids
         if cfg.enable_itm:
-            sims = None
+            itc_logits = None
             if cfg.negative_strategy == "hard":  # the config requires ITC for it
-                sims = img_proj.data @ txt_proj.data.T
-            j = pair_negatives(b, rng, cfg.negative_strategy, sims)
+                itc_logits = img_proj.data @ txt_proj.data.T / np.exp(mp.params["itc.log_temp"].data)
+            j = pair_negatives(b, rng, cfg.negative_strategy, itc_logits)
             # rows [:b] pair each image with its own caption and rows [b:]
             # with a mismatched one, so both go through one fusion pass
             rows = np.concatenate([np.arange(b), j])
@@ -452,7 +452,7 @@ def pretrain_losses(
             img_proj, txt_proj, img_proj_m, txt_proj_m, queue,
             mp.params["itc.log_temp"].exp(),
         )
-        mom_projs = (img_proj_m.data.copy(), txt_proj_m.data.copy())
+        mom_projs = (img_proj_m.data, txt_proj_m.data)
     return parts, mom_projs
 
 
@@ -468,7 +468,7 @@ def _epoch_batches(n: int, cfg: TrainConfig, epoch: int) -> list[np.ndarray]:
 
 def _train(
     cfg: TrainConfig, phase: str, samples: list, texts: list[str], data_root, out_dir,
-    resume_from, stop_after_epoch: int | None, fresh, forward,
+    resume_from, fresh, forward,
 ) -> str:
     """The training loop both phases run; returns the checkpoint path.
 
@@ -531,8 +531,6 @@ def _train(
                 log.write(json.dumps(record, sort_keys=True) + "\n")
                 log.flush()
             save_checkpoint(ckpt_path, cfg, mp, adam, queue, vocab, step, epoch)
-            if stop_after_epoch is not None and epoch >= stop_after_epoch:
-                break
     return ckpt_path
 
 
@@ -542,13 +540,8 @@ def pretrain(
     data_root,
     out_dir,
     resume_from=None,
-    stop_after_epoch: int | None = None,
 ) -> str:
-    """Run the self-supervised pretraining loop; returns the checkpoint path.
-
-    stop_after_epoch simulates an interruption: the loop exits after that
-    epoch's checkpoint while the lr schedule still spans cfg.epochs.
-    """
+    """Run the self-supervised pretraining loop; returns the checkpoint path."""
 
     def fresh(mp):
         vocab = build_vocab([s.caption for s in samples], cfg.vocab_size)
@@ -578,7 +571,7 @@ def pretrain(
 
     return _train(
         cfg, "pretrain", samples, [s.caption for s in samples], data_root, out_dir,
-        resume_from, stop_after_epoch, fresh, forward,
+        resume_from, fresh, forward,
     )
 
 
@@ -622,7 +615,6 @@ def finetune(
     out_dir,
     init_checkpoint=None,
     resume_from=None,
-    stop_after_epoch: int | None = None,
 ) -> str:
     """Finetune for generative VQA; returns the checkpoint path.
 
@@ -645,5 +637,5 @@ def finetune(
 
     return _train(
         cfg, "finetune", samples, [s.question for s in samples], data_root, out_dir,
-        resume_from, stop_after_epoch, fresh, forward,
+        resume_from, fresh, forward,
     )

@@ -325,7 +325,7 @@ def test_criterion_06_momentum_queue_laws():
 # ---- criterion 7: determinism and resume ---------------------------------
 
 
-def test_criterion_07_determinism_and_resume(tmp_path):
+def test_criterion_07_determinism_and_resume(tmp_path, interrupt_after):
     root = tmp_path / "data"
     samples = generate_captions(8, 5, root, image_size=32)
 
@@ -342,7 +342,7 @@ def test_criterion_07_determinism_and_resume(tmp_path):
 
     logs_ok = strip(tmp_path / "a") == strip(tmp_path / "b")
 
-    half = run(tmp_path / "half", stop_after_epoch=1)
+    half = interrupt_after(1, run, tmp_path / "half")
     resumed = run(tmp_path / "resumed", resume_from=half)
     ca, cr = load_checkpoint(a), load_checkpoint(resumed)
     resume_ok = all(np.array_equal(ca.arrays[k], cr.arrays[k]) for k in ca.arrays)

@@ -17,7 +17,7 @@ from m2i2.evaluation import (
 from m2i2.errors import ConfigError, ContractError
 from m2i2.model import ModelParams, decode_answer, encode_full_images, encode_text, fuse, fuse_pairs
 from m2i2.synth import generate_vqa
-from m2i2.tensor import Tensor, cross_entropy, no_grad
+from m2i2.tensor import Tensor, cross_entropy
 from m2i2.text import BOS, EOS, PAD, build_vocab, detokenize, tokenize
 from m2i2.vision import load_image
 
@@ -249,9 +249,9 @@ def test_evaluate_decodes_groups_of_chunks_like_each_chunk_alone(setup, monkeypa
     assert max(lengths[:4]) < max(lengths[4:8])
 
     loops = _record_greedy_loops(monkeypatch)
-    with no_grad():
-        enc = evaluation._encode(mp, imgs, questions, vocab)
-        chunked = [a for lo in range(0, 12, 4) for a in evaluation._greedy(mp, *fuse_pairs(mp, enc, slice(lo, lo + 4)), vocab)]
+    frozen = mp.frozen()
+    enc = evaluation._encode(frozen, imgs, questions, vocab)
+    chunked = [a for lo in range(0, 12, 4) for a in evaluation._greedy(frozen, *fuse_pairs(frozen, enc, slice(lo, lo + 4)), vocab)]
     per_chunk = _per_question(loops)
     assert [len(loop[0]) for loop in loops] == [4, 4, 4] and chunked == single
 
@@ -340,7 +340,8 @@ def test_decode_cache_projects_cross_attention_only_up_to_the_batch_width(setup)
     imgs = [load_image(root / s.image, channels=1) for s in samples]
     questions = [s.question for s in samples]
     mp = _eos_biased_model(cfg, imgs, questions, vocab)
-    fused, ids = fuse_pairs(mp, evaluation._encode(mp, imgs, questions, vocab))
+    frozen = mp.frozen()
+    fused, ids = fuse_pairs(frozen, evaluation._encode(frozen, imgs, questions, vocab))
     width = max(_question_len(q, cfg, vocab) for q in questions)
     assert width < cfg.max_text_len and fused.shape[1] == width and ids.shape[1] == cfg.max_text_len
     # the control: the same rows padded to max_text_len with zero rows, every slot projected
@@ -352,8 +353,7 @@ def test_decode_cache_projects_cross_attention_only_up_to_the_batch_width(setup)
 
     def cached_logits(fused, ids):
         cache = {}
-        with no_grad():
-            return cache, [decode_answer(mp, fused, ids, prefix[:, : t + 1], cache=cache).data for t in range(prefix.shape[1])]
+        return cache, [decode_answer(frozen, fused, ids, prefix[:, : t + 1], cache=cache).data for t in range(prefix.shape[1])]
 
     full_cache, full = cached_logits(padded, ids)
     cache, cut = cached_logits(fused, ids)
@@ -366,8 +366,7 @@ def test_decode_cache_projects_cross_attention_only_up_to_the_batch_width(setup)
             assert control.shape == (len(ids), 1 + cfg.max_text_len, cfg.dim)
     # the control's slots past the width are masked, so the logits agree up to the last bits
     assert all(_close(a, b) for a, b in zip(cut, full, strict=True))
-    with no_grad():
-        assert _close(decode_answer(mp, fused, ids, prefix).data, decode_answer(mp, padded, ids, prefix).data)
+    assert _close(decode_answer(frozen, fused, ids, prefix).data, decode_answer(frozen, padded, ids, prefix).data)
     answers = generate_answers(mp, imgs, questions, vocab)
     assert answers == [generate_answer(mp, cfg, img, q, vocab) for img, q in zip(imgs, questions)]
 

@@ -1,6 +1,7 @@
 """Every module-level import in the m2i2 package, and every module-level
-``_``-prefixed function or class, is used by its module; and config, which
-every other module reads, reads no m2i2 module but errors.
+``_``-prefixed function or class, is used by its module; config, which
+every other module reads, reads no m2i2 module but errors; and no module
+rebinds a global, so no call can switch a mode that other calls then see.
 
 Stdlib only: each module is parsed with ``ast``; a name an import or a
 definition binds counts as used when it is read anywhere in the module or
@@ -123,3 +124,23 @@ def test_only_the_model_runs_the_vqa_encode_stage():
     # every VQA forward encodes its pairs through model.encode_pairs
     readers = {p.name for p in PACKAGE.glob("*.py") if reads_name(p.read_text(encoding="utf-8"), "encode_full_images")}
     assert readers == {"model.py"}
+
+
+def global_statements(source: str) -> list[str]:
+    """The names that a global statement anywhere in source declares."""
+    found: list[str] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Global):
+            found += [f"{name} (line {node.lineno})" for name in node.names]
+    return found
+
+
+def test_checker_finds_a_global_statement():
+    assert global_statements("x = 0\n\ndef f():\n    global x, y\n    x = 1\n") == ["x (line 4)", "y (line 4)"]
+    assert global_statements("x = 0\n\ndef f():\n    x = 1\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_rebinds_a_global(path):
+    # the tape records a node exactly when an input requires a gradient, not per a mode
+    assert global_statements(path.read_text(encoding="utf-8")) == []

@@ -24,7 +24,7 @@ from m2i2.model import (
     project_itc,
     text_width,
 )
-from m2i2.tensor import Tensor, cross_entropy, linear, mlp, no_grad, scaled_dot_product_attention, softmax
+from m2i2.tensor import Tensor, cross_entropy, linear, mlp, scaled_dot_product_attention, softmax
 from m2i2.text import BOS, CLS, PAD, encode_plain
 
 
@@ -206,9 +206,10 @@ class TestEncodeText:
 
     def test_id_out_of_vocab(self, mp):
         ids = rand_ids(1, 4)
-        ids[0, 2] = 32
-        with pytest.raises(IndexError):
-            encode_text(mp, ids)
+        for bad in (32, -1):
+            ids[0, 2] = bad
+            with pytest.raises(IndexError, match=r"\[0, 32\)"):
+                encode_text(mp, ids)
 
     def test_deterministic(self, mp):
         ids = rand_ids(2, 8)
@@ -354,6 +355,26 @@ class TestDecodeAnswer:
         fused, ids = self._fused(ft_mp)
         with pytest.raises(ContractError):
             decode_answer(ft_mp, fused, ids, np.array([[8, 9]]))
+
+    @pytest.mark.parametrize("bad", [-1, 32])
+    def test_prefix_id_outside_the_vocab_raises_index_error(self, ft_mp, bad):
+        fused, ids = self._fused(ft_mp)
+        with pytest.raises(IndexError, match=r"\[0, 32\)"):
+            decode_answer(ft_mp, fused, ids, np.array([[BOS, bad]]))
+        cache: dict = {}
+        decode_answer(ft_mp, fused, ids, np.array([[BOS]]), cache=cache)
+        with pytest.raises(IndexError, match=r"\[0, 32\)"):
+            decode_answer(ft_mp, fused, ids, np.array([[BOS, bad]]), cache=cache)
+
+    def test_prefix_longer_than_max_answer_len_raises_shape_error(self, ft_mp):
+        fused, ids = self._fused(ft_mp)
+        prefix = np.array([[BOS, 8, 9, 10, 11]])
+        with pytest.raises(ShapeError, match="max_answer_len 4"):
+            decode_answer(ft_mp, fused, ids, prefix)
+        cache: dict = {}
+        decode_answer(ft_mp, fused, ids, prefix[:, :4], cache=cache)
+        with pytest.raises(ShapeError, match="max_answer_len 4"):
+            decode_answer(ft_mp, fused, ids, prefix, cache=cache)
 
     def test_text_ids_of_another_width_rejected(self, ft_mp):
         fused, ids = self._fused(ft_mp)
@@ -619,10 +640,10 @@ def test_cached_decoding_matches_the_composite_ops_bitwise(ft_mp, monkeypatch):
     prefix = np.array([[BOS, 8, 9, 10], [BOS, 11, 12, 13], [BOS, 14, 15, 16]])
 
     def run():
-        with no_grad():
-            fused = fuse(ft_mp, encode_text(ft_mp, ids), encode_image(ft_mp, patches, np.tile(np.arange(4), (3, 1))), ids)
-            cache: dict = {}
-            return [decode_answer(ft_mp, fused, ids, prefix[:, :n], cache=cache).data for n in range(1, 5)]
+        mp = ft_mp.frozen()
+        fused = fuse(mp, encode_text(mp, ids), encode_image(mp, patches, np.tile(np.arange(4), (3, 1))), ids)
+        cache: dict = {}
+        return [decode_answer(mp, fused, ids, prefix[:, :n], cache=cache).data for n in range(1, 5)]
 
     fused = run()
     use_composite_ops(monkeypatch)

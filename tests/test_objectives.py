@@ -105,7 +105,7 @@ class TestPairNegatives:
         sims[0, 2] = 5.0
         rng = np.random.default_rng(3)
         picks = [
-            pair_negatives(3, rng, strategy="hard", itc_sims=sims, temperature=1e-3)[0]
+            pair_negatives(3, rng, strategy="hard", itc_logits=sims / 1e-3)[0]
             for _ in range(200)
         ]
         assert np.mean(np.array(picks) == 2) > 0.99

@@ -649,12 +649,10 @@ def test_pretrain_seed_changes_trajectory(caption_data, tmp_path):
     assert ra != rb
 
 
-def test_pretrain_resume_bitwise(caption_data, tmp_path):
+def test_pretrain_resume_bitwise(caption_data, tmp_path, interrupt_after):
     root, samples = caption_data
     full = pretrain(tiny_cfg(seed=7, epochs=4), samples, root, tmp_path / "full")
-    half = pretrain(
-        tiny_cfg(seed=7, epochs=4), samples, root, tmp_path / "half", stop_after_epoch=1
-    )
+    half = interrupt_after(1, pretrain, tiny_cfg(seed=7, epochs=4), samples, root, tmp_path / "half")
     resumed = pretrain(
         tiny_cfg(seed=7, epochs=4), samples, root, tmp_path / "resumed", resume_from=half
     )
@@ -671,11 +669,11 @@ ABLATIONS = {
 
 
 @pytest.mark.parametrize("ablation", sorted(ABLATIONS))
-def test_ablation_holds_saves_and_resumes_only_what_runs(caption_data, vqa_data, tmp_path, ablation):
+def test_ablation_holds_saves_and_resumes_only_what_runs(caption_data, vqa_data, tmp_path, interrupt_after, ablation):
     root, samples = caption_data
     off = ABLATIONS[ablation]
     full = pretrain(tiny_cfg(seed=7, epochs=3, **off), samples, root, tmp_path / "full")
-    half = pretrain(tiny_cfg(seed=7, epochs=3, **off), samples, root, tmp_path / "half", stop_after_epoch=0)
+    half = interrupt_after(0, pretrain, tiny_cfg(seed=7, epochs=3, **off), samples, root, tmp_path / "half")
     resumed = pretrain(tiny_cfg(seed=7, epochs=3, **off), samples, root, tmp_path / "half", resume_from=half)
     a, b = load_checkpoint(full), load_checkpoint(resumed)
     assert a.step == b.step == 6 and a.arrays.keys() == b.arrays.keys()
@@ -705,7 +703,7 @@ def test_ablation_holds_saves_and_resumes_only_what_runs(caption_data, vqa_data,
     assert all(math.isfinite(r["loss"]) for r in read_metrics(tmp_path / "ft" / "metrics.jsonl"))
 
 
-def test_finetune_resume_bitwise(caption_data, vqa_data, tmp_path):
+def test_finetune_resume_bitwise(caption_data, vqa_data, tmp_path, interrupt_after):
     croot, csamples = caption_data
     vroot, vsamples = vqa_data
     pre = pretrain(tiny_cfg(seed=8, epochs=1), csamples, croot, tmp_path / "pre")
@@ -713,9 +711,9 @@ def test_finetune_resume_bitwise(caption_data, vqa_data, tmp_path):
         tiny_cfg(seed=8, epochs=4, phase="finetune"),
         vsamples, vroot, tmp_path / "full", init_checkpoint=pre,
     )
-    half = finetune(
-        tiny_cfg(seed=8, epochs=4, phase="finetune"),
-        vsamples, vroot, tmp_path / "half", init_checkpoint=pre, stop_after_epoch=1,
+    half = interrupt_after(
+        1, finetune, tiny_cfg(seed=8, epochs=4, phase="finetune"),
+        vsamples, vroot, tmp_path / "half", init_checkpoint=pre,
     )
     resumed = finetune(
         tiny_cfg(seed=8, epochs=4, phase="finetune"),
@@ -783,11 +781,11 @@ def test_fresh_runs_into_one_directory_log_once(caption_data, vqa_data, tmp_path
     assert [r["step"] for r in read_metrics(tmp_path / "ft" / "metrics.jsonl")] == [1, 2]
 
 
-def test_resume_rewinds_log_to_checkpoint(caption_data, tmp_path):
+def test_resume_rewinds_log_to_checkpoint(caption_data, tmp_path, interrupt_after):
     # records past the checkpoint stand in for a crash mid-epoch
     root, samples = caption_data
     pretrain(tiny_cfg(seed=4, epochs=3), samples, root, tmp_path / "full")
-    ckpt = pretrain(tiny_cfg(seed=4, epochs=3), samples, root, tmp_path / "run", stop_after_epoch=0)
+    ckpt = interrupt_after(0, pretrain, tiny_cfg(seed=4, epochs=3), samples, root, tmp_path / "run")
     log = tmp_path / "run" / "metrics.jsonl"
     recs = read_metrics(log)
     with open(log, "a", encoding="utf-8") as f:
@@ -800,9 +798,9 @@ def test_resume_rewinds_log_to_checkpoint(caption_data, tmp_path):
     assert [r["step"] for r in full] == [1, 2, 3, 4, 5, 6]
 
 
-def test_resume_with_other_model_keys_raises_checkpoint_error(caption_data, tmp_path):
+def test_resume_with_other_model_keys_raises_checkpoint_error(caption_data, tmp_path, interrupt_after):
     root, samples = caption_data
-    ckpt = pretrain(tiny_cfg(seed=4, epochs=2), samples, root, tmp_path / "run", stop_after_epoch=0)
+    ckpt = interrupt_after(0, pretrain, tiny_cfg(seed=4, epochs=2), samples, root, tmp_path / "run")
     files = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
     no_itc = tiny_cfg(seed=4, epochs=2, enable_itc=False)
     with pytest.raises(CheckpointError, match=r"other model keys: \['enable_itc'\]"):
@@ -817,9 +815,9 @@ def test_resume_with_other_model_keys_raises_checkpoint_error(caption_data, tmp_
 
 
 @pytest.mark.parametrize("line", ["not json", "[1, 2]", '{"step": "1"}', '{"epoch": 0}'])
-def test_resume_from_a_malformed_log_raises_checkpoint_error(caption_data, tmp_path, line):
+def test_resume_from_a_malformed_log_raises_checkpoint_error(caption_data, tmp_path, interrupt_after, line):
     root, samples = caption_data
-    ckpt = pretrain(tiny_cfg(seed=4, epochs=3), samples, root, tmp_path / "run", stop_after_epoch=0)
+    ckpt = interrupt_after(0, pretrain, tiny_cfg(seed=4, epochs=3), samples, root, tmp_path / "run")
     log = tmp_path / "run" / "metrics.jsonl"
     recs = log.read_text(encoding="utf-8").splitlines(keepends=True)
     log.write_text(recs[0] + line + "\n" + recs[1], encoding="utf-8")
@@ -936,12 +934,12 @@ def _two_pass_mlm_itm(mp, cfg, batch, rng):
     txt_feats = model.encode_text(mp, batch.ids)
     fused = model.fuse(mp, txt_feats, img_feats, batch.ids)
     mlm = mlm_loss(model.mlm_logits(mp, fused, batch.mlm_batch_idx, batch.mlm_positions), batch.mlm_labels)
-    sims = None
+    itc_logits = None
     if cfg.negative_strategy == "hard":
         img_proj = model.project_itc(mp, img_feats[:, 0, :], "img")
         txt_proj = model.project_itc(mp, txt_feats[:, 0, :], "txt")
-        sims = img_proj.data @ txt_proj.data.T
-    j = pair_negatives(b, rng, cfg.negative_strategy, sims)
+        itc_logits = img_proj.data @ txt_proj.data.T / np.exp(mp.params["itc.log_temp"].data)
+    j = pair_negatives(b, rng, cfg.negative_strategy, itc_logits)
     fused_neg = model.fuse(mp, txt_feats[j], img_feats, batch.ids[j])
     joint = concat([fused[:, 0, :], fused_neg[:, 0, :]], axis=0)
     labels = np.concatenate([np.ones(b, dtype=np.int64), np.zeros(b, dtype=np.int64)])
@@ -989,6 +987,28 @@ def test_one_fusion_pass_matches_two(caption_data, tmp_path, monkeypatch, strate
     calls.clear()
     pretrain(cfg, samples, root, tmp_path / "run")
     assert len(calls) == len(read_metrics(tmp_path / "run" / "metrics.jsonl"))
+
+
+def test_hard_negatives_are_drawn_at_the_itc_temperature(caption_data, monkeypatch):
+    root, samples = caption_data
+    cfg = tiny_cfg(seed=3, negative_strategy="hard")
+    mp = tiny_params(cfg, seed=3)
+    mp.params["itc.log_temp"].data = np.log(np.array(0.5))
+    vocab = build_vocab([s.caption for s in samples], cfg.vocab_size)
+    images = [load_image(os.path.join(root, s.image), channels=cfg.channels) for s in samples[:4]]
+    token_ids = [tokenize(s.caption, vocab, cfg.max_text_len) for s in samples[:4]]
+    batch = trainer.make_pretrain_batch(images, token_ids, cfg, vocab, np.random.default_rng(1))
+    given = []
+
+    def recording(b, rng, strategy, itc_logits):
+        given.append(itc_logits)
+        return pair_negatives(b, rng, strategy, itc_logits)
+
+    monkeypatch.setattr(trainer, "pair_negatives", recording)
+    trainer.pretrain_losses(mp, cfg, batch, FeatureQueue(cfg.queue_capacity, cfg.proj_dim), np.random.default_rng(2))
+    img_proj = model.project_itc(mp, model.encode_image(mp, batch.visible, batch.positions)[:, 0, :], "img")
+    txt_proj = model.project_itc(mp, model.encode_text(mp, batch.ids)[:, 0, :], "txt")
+    np.testing.assert_allclose(given[0], img_proj.data @ txt_proj.data.T / 0.5, rtol=1e-12)
 
 
 # ---- text and fusion at the batch width ---------------------------------
